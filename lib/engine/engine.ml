@@ -6,8 +6,10 @@
    [value]-variant dispatch per expression node per iteration, the compiled
    form resolves every variable to a pre-allocated slot in an unboxed
    int/float/bool array at compile time and monomorphizes dtype dispatch into
-   separate int and float code paths, so the hot loop is plain array
-   arithmetic behind indirect calls.
+   separate int and float code paths.  Int leaves (slots, immediates) are
+   folded into their parent closures and buffer accesses are specialized on
+   dtype and index arity, so the hot loop is plain array arithmetic with one
+   indirect call per composite sub-expression.
 
    Semantics are exactly those of [Tir.Eval] (the differential harness in
    test/test_engine.ml and the schedule fuzzer enforce this):
@@ -277,6 +279,13 @@ let leases_in_use () = Mutex.protect lease_lock (fun () -> !leases_active)
    [run_leased], consulted by the parallel dispatch closures. *)
 let current_lease : lease option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
+
+(* The domain budget of a thread-bound loop: a leased driver caps its
+   parallel loops at the lease width and steers them onto the leased
+   workers only; unleased domains (the main domain) use the whole budget
+   and pool. *)
+let loop_budget (lease : lease option) : int =
+  match lease with Some l -> l.l_width | None -> !num_domains_ref
 
 let run_leased (l : lease) (f : unit -> 'a) : 'a =
   if not l.l_active then invalid_arg "Engine.run_leased: released lease";
@@ -631,93 +640,222 @@ let guard_flat (b : buffer) =
 (* Typed compiled expressions                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* An int-valued operand.  Leaf folding (DESIGN.md §3c): a variable bound
+   to an int slot stays a [Slot] and an integer immediate a [Const], so the
+   parent closure reads it inline ([iget]: an array load or a constant)
+   instead of calling a closure for it; only composite expressions become
+   [Fn] closures. *)
+type iarg = Slot of int | Const of int | Fn of (state -> int)
+
 type cexpr =
-  | CI of (state -> int)
+  | CI of iarg
   | CF of (state -> float)
   | CB of (state -> bool)
+
+let[@inline] iget (a : iarg) (st : state) : int =
+  match a with Slot s -> st.ints.(s) | Const n -> n | Fn f -> f st
 
 (* Coercions mirror [Eval.to_i]/[to_f]/[to_b], monomorphized at compile
    time. *)
 let as_i = function
-  | CI f -> f
-  | CF f -> fun st -> int_of_float (f st)
-  | CB f -> fun st -> if f st then 1 else 0
+  | CI a -> a
+  | CF f -> Fn (fun st -> int_of_float (f st))
+  | CB f -> Fn (fun st -> if f st then 1 else 0)
 
 let as_f = function
   | CF f -> f
-  | CI f -> fun st -> float_of_int (f st)
+  | CI (Slot s) -> fun st -> float_of_int st.ints.(s)
+  | CI (Const n) ->
+      let x = float_of_int n in
+      fun _ -> x
+  | CI (Fn f) -> fun st -> float_of_int (f st)
   | CB f -> fun st -> if f st then 1.0 else 0.0
 
 let as_b = function
   | CB f -> f
-  | CI f -> fun st -> f st <> 0
+  | CI (Slot s) -> fun st -> st.ints.(s) <> 0
+  | CI (Const n) ->
+      let b = n <> 0 in
+      fun _ -> b
+  | CI (Fn f) -> fun st -> f st <> 0
   | CF f -> fun st -> f st <> 0.0
 
+(* Int index arithmetic with the operator applied in the closure itself.
+   Commutative operators move a [Const] operand right and a [Slot] right of
+   an [Fn], so each needs one closure per remaining leaf shape; two
+   constants fold.  (Ints wrap, so [x - c] is exactly [x + (-c)].) *)
+let rec add_i (x : iarg) (y : iarg) : iarg =
+  match (x, y) with
+  | Const a, Const b -> Const (a + b)
+  | Const _, _ | Slot _, Fn _ -> add_i y x
+  | Slot a, Slot b -> Fn (fun st -> st.ints.(a) + st.ints.(b))
+  | Slot a, Const c -> Fn (fun st -> st.ints.(a) + c)
+  | Fn f, Slot b -> Fn (fun st -> f st + st.ints.(b))
+  | Fn f, Const c -> Fn (fun st -> f st + c)
+  | Fn f, Fn g -> Fn (fun st -> f st + g st)
+
+let rec mul_i (x : iarg) (y : iarg) : iarg =
+  match (x, y) with
+  | Const a, Const b -> Const (a * b)
+  | Const _, _ | Slot _, Fn _ -> mul_i y x
+  | Slot a, Slot b -> Fn (fun st -> st.ints.(a) * st.ints.(b))
+  | Slot a, Const c -> Fn (fun st -> st.ints.(a) * c)
+  | Fn f, Slot b -> Fn (fun st -> f st * st.ints.(b))
+  | Fn f, Const c -> Fn (fun st -> f st * c)
+  | Fn f, Fn g -> Fn (fun st -> f st * g st)
+
+let sub_i (x : iarg) (y : iarg) : iarg =
+  match (x, y) with
+  | Const a, Const b -> Const (a - b)
+  | _, Const c -> add_i x (Const (-c))
+  | Slot a, Slot b -> Fn (fun st -> st.ints.(a) - st.ints.(b))
+  | Fn f, Slot b -> Fn (fun st -> f st - st.ints.(b))
+  | _ -> Fn (fun st -> iget x st - iget y st)
+
 (* ------------------------------------------------------------------ *)
-(* Flat offsets                                                         *)
+(* Buffer access                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Relaxed offset (loads): -1 signals out-of-range, which reads as 0.
-   Mirrors [Eval.flat_offset_opt]: a single index is an already-flattened
-   offset checked against numel (for rank-1 storage that coincides with the
-   per-dim check); multi indices must match the runtime rank and stay within
-   each dimension. *)
-let compile_offset_opt compile (idx : expr list) : state -> Tensor.t -> int =
+(* Loads and stores specialize at compile time on the buffer's dtype and
+   index arity (1-D, 2-D; every other shape takes the generic offset path)
+   and match the bound tensor's storage once per access.  Bounds checks are
+   O(1) because a tensor's storage array holds exactly [numel] elements
+   (the [Tensor] invariant every constructor enforces): a flat offset below
+   the storage length is below numel.  Semantics are [Tir.Eval]'s:
+   - loads are relaxed: an out-of-range or rank-mismatched index reads 0;
+   - a single index is an already-flattened offset, checked against numel;
+   - stores are strict: out-of-range indices raise [Invalid_argument], and
+     a single index into multi-dimensional storage is left to the storage
+     access's own bound check;
+   - writes bump the tensor's version and round F16 storage, exactly as
+     [Tensor.set_f]/[set_i] do. *)
+
+let[@inline] read_f (t : Tensor.t) (i : int) : float =
+  match t.data with
+  | F a -> a.(i)
+  | I a -> float_of_int a.(i)
+  | B a -> if a.(i) then 1.0 else 0.0
+
+let[@inline] read_i (t : Tensor.t) (i : int) : int =
+  match t.data with
+  | I a -> a.(i)
+  | F a -> int_of_float a.(i)
+  | B a -> if a.(i) then 1 else 0
+
+let[@inline] write_f (t : Tensor.t) (i : int) (x : float) : unit =
+  t.version <- t.version + 1;
+  match t.data with
+  | F a -> a.(i) <- (if t.dtype = Dtype.F16 then Dtype.round_f16 x else x)
+  | I a -> a.(i) <- int_of_float x
+  | B a -> a.(i) <- x <> 0.0
+
+let[@inline] write_i (t : Tensor.t) (i : int) (x : int) : unit =
+  t.version <- t.version + 1;
+  match t.data with
+  | I a -> a.(i) <- x
+  | F a -> a.(i) <- float_of_int x
+  | B a -> a.(i) <- x <> 0
+
+(* Relaxed single-index reads: one storage match, one O(1) check. *)
+let[@inline] load1_f (t : Tensor.t) (i : int) : float =
+  match t.data with
+  | F a -> if i < 0 || i >= Array.length a then 0.0 else Array.unsafe_get a i
+  | I a ->
+      if i < 0 || i >= Array.length a then 0.0
+      else float_of_int (Array.unsafe_get a i)
+  | B a ->
+      if i < 0 || i >= Array.length a then 0.0
+      else if Array.unsafe_get a i then 1.0
+      else 0.0
+
+let[@inline] load1_i (t : Tensor.t) (i : int) : int =
+  match t.data with
+  | I a -> if i < 0 || i >= Array.length a then 0 else Array.unsafe_get a i
+  | F a ->
+      if i < 0 || i >= Array.length a then 0
+      else int_of_float (Array.unsafe_get a i)
+  | B a ->
+      if i < 0 || i >= Array.length a then 0
+      else if Array.unsafe_get a i then 1
+      else 0
+
+(* Relaxed 2-D offset: -1 unless [t] is 2-D and both indices are in
+   range. *)
+let[@inline] off2_opt (t : Tensor.t) (i : int) (j : int) : int =
+  let sh = t.shape in
+  if Array.length sh <> 2 then -1
+  else
+    let d1 = sh.(1) in
+    if i < 0 || i >= sh.(0) || j < 0 || j >= d1 then -1 else (i * d1) + j
+
+(* Relaxed offset for every other arity (and bool buffers): every index
+   evaluates, then -1 on a rank mismatch or an out-of-range index. *)
+let offset_opt (idx : iarg array) : state -> Tensor.t -> int =
   match idx with
-  | [ e ] ->
-      let f = as_i (compile e) in
+  | [| a |] ->
       fun st t ->
-        let i = f st in
+        let i = iget a st in
         if i < 0 || i >= Tensor.numel t then -1 else i
   | _ ->
-      let fs = Array.of_list (List.map (fun e -> as_i (compile e)) idx) in
-      let rank = Array.length fs in
+      let rank = Array.length idx in
       fun st t ->
-        if Array.length t.Tensor.shape <> rank then -1
-        else begin
-          let off = ref 0 and ok = ref true in
-          for d = 0 to rank - 1 do
-            let i = fs.(d) st in
-            if i < 0 || i >= t.Tensor.shape.(d) then ok := false
-            else if !ok then off := (!off * t.Tensor.shape.(d)) + i
-          done;
-          if !ok then !off else -1
-        end
-
-(* Strict offset (stores, MMA origins): mirrors [Eval.flat_offset].  A single
-   index into multi-dimensional storage passes through unchecked (an
-   already-flattened offset); everything else bounds-checks and raises. *)
-let compile_offset_strict (name : string) compile (idx : expr list) :
-    state -> Tensor.t -> int =
-  match idx with
-  | [ e ] ->
-      let f = as_i (compile e) in
-      fun st t ->
-        let i = f st in
-        if Array.length t.Tensor.shape <> 1 then i
-        else if i < 0 || i >= t.Tensor.shape.(0) then
-          invalid_arg
-            (Printf.sprintf "%s: index %d out of bounds [0,%d)" name i
-               t.Tensor.shape.(0))
-        else i
-  | _ ->
-      let fs = Array.of_list (List.map (fun e -> as_i (compile e)) idx) in
-      let rank = Array.length fs in
-      fun st t ->
-        if Array.length t.Tensor.shape <> rank then
-          invalid_arg
-            (Printf.sprintf "%s: rank mismatch (%d vs %d)" name rank
-               (Array.length t.Tensor.shape));
-        let off = ref 0 in
+        let sh = t.Tensor.shape in
+        let ok = ref (Array.length sh = rank) and off = ref 0 in
         for d = 0 to rank - 1 do
-          let i = fs.(d) st in
-          if i < 0 || i >= t.Tensor.shape.(d) then
-            invalid_arg
-              (Printf.sprintf "%s: index %d out of bounds [0,%d) in dim %d"
-                 name i t.Tensor.shape.(d) d);
-          off := (!off * t.Tensor.shape.(d)) + i
+          let i = iget idx.(d) st in
+          if !ok then
+            if i < 0 || i >= sh.(d) then ok := false
+            else off := (!off * sh.(d)) + i
         done;
-        !off
+        if !ok then !off else -1
+
+(* Strict offsets (stores, fused cells, MMA origins), mirroring
+   [Eval.flat_offset]. *)
+type cell = Cell1 of iarg | Cell2 of iarg * iarg | CellN of iarg array
+
+let out_of_bounds name i bound =
+  invalid_arg (Printf.sprintf "%s: index %d out of bounds [0,%d)" name i bound)
+
+let out_of_bounds_dim name i bound d =
+  invalid_arg
+    (Printf.sprintf "%s: index %d out of bounds [0,%d) in dim %d" name i
+       bound d)
+
+let rank_mismatch name want have =
+  invalid_arg (Printf.sprintf "%s: rank mismatch (%d vs %d)" name want have)
+
+let strict2 (name : string) (t : Tensor.t) (i : int) (j : int) : int =
+  let sh = t.shape in
+  if Array.length sh <> 2 then rank_mismatch name 2 (Array.length sh);
+  if i < 0 || i >= sh.(0) then out_of_bounds_dim name i sh.(0) 0;
+  if j < 0 || j >= sh.(1) then out_of_bounds_dim name j sh.(1) 1;
+  (i * sh.(1)) + j
+
+let strict_n (name : string) (idx : iarg array) (st : state) (t : Tensor.t) :
+    int =
+  let rank = Array.length idx and sh = t.shape in
+  if Array.length sh <> rank then rank_mismatch name rank (Array.length sh);
+  let off = ref 0 in
+  for d = 0 to rank - 1 do
+    let i = iget idx.(d) st in
+    if i < 0 || i >= sh.(d) then out_of_bounds_dim name i sh.(d) d;
+    off := (!off * sh.(d)) + i
+  done;
+  !off
+
+let[@inline] cell_offset (name : string) (c : cell) (st : state)
+    (t : Tensor.t) : int =
+  match c with
+  | Cell1 a ->
+      let i = iget a st in
+      let sh = t.shape in
+      if Array.length sh = 1 && (i < 0 || i >= sh.(0)) then
+        out_of_bounds name i sh.(0);
+      i
+  | Cell2 (a, b) ->
+      let i = iget a st in
+      strict2 name t i (iget b st)
+  | CellN idx -> strict_n name idx st t
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                               *)
@@ -725,44 +863,24 @@ let compile_offset_strict (name : string) compile (idx : expr list) :
 
 let rec compile_expr (ctx : ctx) (scope : scope) (e : expr) : cexpr =
   match e with
-  | Int_imm n -> CI (fun _ -> n)
+  | Int_imm n -> CI (Const n)
   | Float_imm x -> CF (fun _ -> x)
   | Bool_imm b -> CB (fun _ -> b)
   | Evar x -> (
       match Imap.find_opt x.vid scope.sc_vars with
-      | Some (Si s) -> CI (fun st -> st.ints.(s))
+      | Some (Si s) -> CI (Slot s)
       | Some (Sf s) -> CF (fun st -> st.floats.(s))
       | Some (Sb s) -> CB (fun st -> st.bools.(s))
       | None -> cerr "unbound variable %s" x.vname)
-  | Load (b, idx) ->
-      guard_flat b;
-      let slot = buf_slot scope b in
-      let off = compile_offset_opt (compile_expr ctx scope) idx in
-      if Dtype.is_float b.buf_dtype then
-        CF
-          (fun st ->
-            let t = st.bufs.(slot) in
-            let i = off st t in
-            if i < 0 then 0.0 else Tensor.get_f t i)
-      else if b.buf_dtype = Dtype.Bool then
-        CB
-          (fun st ->
-            let t = st.bufs.(slot) in
-            let i = off st t in
-            i >= 0 && Tensor.get_i t i <> 0)
-      else
-        CI
-          (fun st ->
-            let t = st.bufs.(slot) in
-            let i = off st t in
-            if i < 0 then 0 else Tensor.get_i t i)
+  | Load (b, idx) -> compile_load ctx scope b idx
   | Binop (op, a, b) -> compile_binop ctx scope op a b
   | Unop (op, a) -> (
       let ca = compile_expr ctx scope a in
       match op with
       | Neg -> (
           match ca with
-          | CI f -> CI (fun st -> -f st)
+          | CI (Const n) -> CI (Const (-n))
+          | CI x -> CI (Fn (fun st -> -iget x st))
           | c ->
               let f = as_f c in
               CF (fun st -> -.f st))
@@ -780,7 +898,7 @@ let rec compile_expr (ctx : ctx) (scope : scope) (e : expr) : cexpr =
           CF (fun st -> Float.log (f st))
       | Abs -> (
           match ca with
-          | CI f -> CI (fun st -> abs (f st))
+          | CI x -> CI (Fn (fun st -> abs (iget x st)))
           | c ->
               let f = as_f c in
               CF (fun st -> Float.abs (f st))))
@@ -789,7 +907,8 @@ let rec compile_expr (ctx : ctx) (scope : scope) (e : expr) : cexpr =
       let ct = compile_expr ctx scope t and cf = compile_expr ctx scope f in
       match (ct, cf) with
       | CB ft, CB ff -> CB (fun st -> if fc st then ft st else ff st)
-      | CI ft, CI ff -> CI (fun st -> if fc st then ft st else ff st)
+      | CI xt, CI xf ->
+          CI (Fn (fun st -> if fc st then iget xt st else iget xf st))
       | _ ->
           let ft = as_f ct and ff = as_f cf in
           CF (fun st -> if fc st then ft st else ff st))
@@ -802,82 +921,180 @@ let rec compile_expr (ctx : ctx) (scope : scope) (e : expr) : cexpr =
       else CI (as_i ca)
   | Bsearch bs ->
       let slot = buf_slot scope bs.bs_buf in
-      let flo = as_i (compile_expr ctx scope bs.bs_lo)
-      and fhi = as_i (compile_expr ctx scope bs.bs_hi)
-      and fv = as_i (compile_expr ctx scope bs.bs_v) in
+      let lo = as_i (compile_expr ctx scope bs.bs_lo)
+      and hi = as_i (compile_expr ctx scope bs.bs_hi)
+      and v = as_i (compile_expr ctx scope bs.bs_v) in
       if bs.bs_ub then
         CI
-          (fun st ->
-            Prims.upper_bound st.bufs.(slot) ~lo:(flo st) ~hi:(fhi st) (fv st))
+          (Fn
+             (fun st ->
+               Prims.upper_bound st.bufs.(slot) ~lo:(iget lo st)
+                 ~hi:(iget hi st) (iget v st)))
       else
         CI
+          (Fn
+             (fun st ->
+               Prims.binary_search st.bufs.(slot) ~lo:(iget lo st)
+                 ~hi:(iget hi st) (iget v st)))
+
+and compile_index ctx scope (idx : expr list) : iarg list =
+  List.map (fun e -> as_i (compile_expr ctx scope e)) idx
+
+and compile_load ctx scope (b : buffer) (idx : expr list) : cexpr =
+  guard_flat b;
+  let slot = buf_slot scope b in
+  let dt = b.buf_dtype in
+  match compile_index ctx scope idx with
+  | [ i ] when Dtype.is_float dt ->
+      CF (fun st -> load1_f st.bufs.(slot) (iget i st))
+  | [ i ] when dt <> Dtype.Bool ->
+      CI (Fn (fun st -> load1_i st.bufs.(slot) (iget i st)))
+  | [ i; j ] when Dtype.is_float dt ->
+      CF
+        (fun st ->
+          let t = st.bufs.(slot) in
+          let o = off2_opt t (iget i st) (iget j st) in
+          if o < 0 then 0.0 else read_f t o)
+  | [ i; j ] when dt <> Dtype.Bool ->
+      CI
+        (Fn
+           (fun st ->
+             let t = st.bufs.(slot) in
+             let o = off2_opt t (iget i st) (iget j st) in
+             if o < 0 then 0 else read_i t o))
+  | ix ->
+      let off = offset_opt (Array.of_list ix) in
+      if Dtype.is_float dt then
+        CF
           (fun st ->
-            Prims.binary_search st.bufs.(slot) ~lo:(flo st) ~hi:(fhi st)
-              (fv st))
+            let t = st.bufs.(slot) in
+            let i = off st t in
+            if i < 0 then 0.0 else read_f t i)
+      else if dt = Dtype.Bool then
+        CB
+          (fun st ->
+            let t = st.bufs.(slot) in
+            let i = off st t in
+            i >= 0 && read_i t i <> 0)
+      else
+        CI
+          (Fn
+             (fun st ->
+               let t = st.bufs.(slot) in
+               let i = off st t in
+               if i < 0 then 0 else read_i t i))
+
+and compile_cell ctx scope (idx : expr list) : cell =
+  match compile_index ctx scope idx with
+  | [ i ] -> Cell1 i
+  | [ i; j ] -> Cell2 (i, j)
+  | ix -> CellN (Array.of_list ix)
 
 and compile_binop ctx scope op a b : cexpr =
   let ca = compile_expr ctx scope a and cb = compile_expr ctx scope b in
-  (* int/int stays integral; anything else computes in floats (Eval.arith) *)
-  let arith fi ff =
-    match (ca, cb) with
-    | CI fa, CI fb -> CI (fun st -> fi (fa st) (fb st))
-    | _ ->
-        let fa = as_f ca and fb = as_f cb in
-        CF (fun st -> ff (fa st) (fb st))
-  in
-  (* comparisons follow Eval.compare_values: int compare when both sides are
-     integral, polymorphic float compare (NaN-total) otherwise *)
-  let cmp (ii : int -> int -> bool) (fff : float -> float -> int)
-      (rel : int -> bool) =
-    match (ca, cb) with
-    | CI fa, CI fb -> CB (fun st -> ii (fa st) (fb st))
-    | _ ->
-        let fa = as_f ca and fb = as_f cb in
-        CB (fun st -> rel (fff (fa st) (fb st)))
-  in
-  match op with
-  | Add -> arith ( + ) ( +. )
-  | Sub -> arith ( - ) ( -. )
-  | Mul -> arith ( * ) ( *. )
-  | Div -> (
-      match (ca, cb) with
-      | CI fa, CI fb ->
-          CI
+  match (op, ca, cb) with
+  (* int/int stays integral; anything else computes in floats
+     (Eval.arith).  [Stdlib.min]/[max] are [if a <= b then a else b] /
+     [if a >= b then a else b], spelled out below at each operand type. *)
+  | Add, CI x, CI y -> CI (add_i x y)
+  | Sub, CI x, CI y -> CI (sub_i x y)
+  | Mul, CI x, CI y -> CI (mul_i x y)
+  | Div, CI x, CI (Const c) when c <> 0 -> CI (Fn (fun st -> iget x st / c))
+  | Div, CI x, CI y ->
+      CI
+        (Fn
+           (fun st ->
+             let a = iget x st in
+             let b = iget y st in
+             if b = 0 then rerr "division by zero" else a / b))
+  | Min, CI x, CI y ->
+      CI
+        (Fn
+           (fun st ->
+             let a = iget x st in
+             let b = iget y st in
+             if a <= b then a else b))
+  | Max, CI x, CI y ->
+      CI
+        (Fn
+           (fun st ->
+             let a = iget x st in
+             let b = iget y st in
+             if a >= b then a else b))
+  | (Add | Sub | Mul | Div | Min | Max), _, _ -> (
+      let fa = as_f ca and fb = as_f cb in
+      match op with
+      | Add -> CF (fun st -> fa st +. fb st)
+      | Sub -> CF (fun st -> fa st -. fb st)
+      | Mul -> CF (fun st -> fa st *. fb st)
+      | Div -> CF (fun st -> fa st /. fb st)
+      | Min ->
+          CF
             (fun st ->
-              let x = fa st in
-              let y = fb st in
-              if y = 0 then rerr "division by zero" else x / y)
+              let a = fa st in
+              let b = fb st in
+              if a <= b then a else b)
       | _ ->
-          let fa = as_f ca and fb = as_f cb in
-          CF (fun st -> fa st /. fb st))
-  | Floor_div ->
-      let fa = as_i ca and fb = as_i cb in
-      CI
-        (fun st ->
-          let x = fa st in
-          let y = fb st in
-          if y = 0 then rerr "floor_div by zero"
-          else if x >= 0 then x / y
-          else -((-x + y - 1) / y))
-  | Floor_mod ->
-      let fa = as_i ca and fb = as_i cb in
-      CI
-        (fun st ->
-          let x = fa st in
-          let y = fb st in
-          if y = 0 then rerr "floor_mod by zero"
-          else
-            let r = x mod y in
-            if r >= 0 then r else r + y)
-  | Min -> arith min Stdlib.min
-  | Max -> arith max Stdlib.max
-  | Eq -> cmp ( = ) Float.compare (fun c -> c = 0)
-  | Ne -> cmp ( <> ) Float.compare (fun c -> c <> 0)
-  | Lt -> cmp ( < ) Float.compare (fun c -> c < 0)
-  | Le -> cmp ( <= ) Float.compare (fun c -> c <= 0)
-  | Gt -> cmp ( > ) Float.compare (fun c -> c > 0)
-  | Ge -> cmp ( >= ) Float.compare (fun c -> c >= 0)
-  | And ->
+          CF
+            (fun st ->
+              let a = fa st in
+              let b = fb st in
+              if a >= b then a else b))
+  | Floor_div, _, _ -> (
+      match (as_i ca, as_i cb) with
+      | x, Const c when c <> 0 ->
+          CI
+            (Fn
+               (fun st ->
+                 let a = iget x st in
+                 if a >= 0 then a / c else -((-a + c - 1) / c)))
+      | x, y ->
+          CI
+            (Fn
+               (fun st ->
+                 let a = iget x st in
+                 let b = iget y st in
+                 if b = 0 then rerr "floor_div by zero"
+                 else if a >= 0 then a / b
+                 else -((-a + b - 1) / b))))
+  | Floor_mod, _, _ -> (
+      match (as_i ca, as_i cb) with
+      | x, Const c when c <> 0 ->
+          CI
+            (Fn
+               (fun st ->
+                 let r = iget x st mod c in
+                 if r >= 0 then r else r + c))
+      | x, y ->
+          CI
+            (Fn
+               (fun st ->
+                 let a = iget x st in
+                 let b = iget y st in
+                 if b = 0 then rerr "floor_mod by zero"
+                 else
+                   let r = a mod b in
+                   if r >= 0 then r else r + b)))
+  (* comparisons follow Eval.compare_values: int compare when both sides
+     are integral, total float compare (NaN-ordered) otherwise *)
+  | (Eq | Ne | Lt | Le | Gt | Ge), CI x, CI y -> (
+      match op with
+      | Eq -> CB (fun st -> iget x st = iget y st)
+      | Ne -> CB (fun st -> iget x st <> iget y st)
+      | Lt -> CB (fun st -> iget x st < iget y st)
+      | Le -> CB (fun st -> iget x st <= iget y st)
+      | Gt -> CB (fun st -> iget x st > iget y st)
+      | _ -> CB (fun st -> iget x st >= iget y st))
+  | (Eq | Ne | Lt | Le | Gt | Ge), _, _ -> (
+      let fa = as_f ca and fb = as_f cb in
+      match op with
+      | Eq -> CB (fun st -> Float.compare (fa st) (fb st) = 0)
+      | Ne -> CB (fun st -> Float.compare (fa st) (fb st) <> 0)
+      | Lt -> CB (fun st -> Float.compare (fa st) (fb st) < 0)
+      | Le -> CB (fun st -> Float.compare (fa st) (fb st) <= 0)
+      | Gt -> CB (fun st -> Float.compare (fa st) (fb st) > 0)
+      | _ -> CB (fun st -> Float.compare (fa st) (fb st) >= 0))
+  | And, _, _ ->
       let fa = as_b ca and fb = as_b cb in
       (* both sides evaluate, as in the interpreter *)
       CB
@@ -885,7 +1102,7 @@ and compile_binop ctx scope op a b : cexpr =
           let x = fa st in
           let y = fb st in
           x && y)
-  | Or ->
+  | Or, _, _ ->
       let fa = as_b ca and fb = as_b cb in
       CB
         (fun st ->
@@ -900,17 +1117,17 @@ and compile_binop ctx scope op a b : cexpr =
 (* Fused accumulation stores (fusion peephole, DESIGN.md §3e): a store of
    the shape [C[i] <- C[i] + rhs] (either operand order) re-reads the cell
    it is about to write.  Unfused, that costs two independent offset
-   computations (one relaxed for the load, one strict for the store) and an
-   extra closure hop; fused, the strict offset is computed once and the
-   cell updated in place.  Whenever the strict offset admits the store, the
-   relaxed load offset would have resolved to the same flat position, so
-   the fused form is bit-identical.  Only shapes whose unfused arithmetic
-   already runs entirely in the target dtype's lattice are fused: float
-   buffers always (the load forces the float path), int buffers only when
-   the rhs compiles integral (otherwise the unfused add runs in floats and
-   truncates), bool buffers never. *)
-let compile_store_fused (ctx : ctx) compile_rhs (b : buffer)
-    (idx : expr list) (value : expr) (off : state -> Tensor.t -> int)
+   computations (one relaxed for the load, one strict for the store);
+   fused, the strict offset is computed once and the cell updated in
+   place.  Whenever the strict offset admits the store, the relaxed load
+   offset would have resolved to the same flat position, so the fused form
+   is bit-identical.  Only shapes whose unfused arithmetic already runs
+   entirely in the target dtype's lattice are fused: float buffers always
+   (the load forces the float path), int buffers only when the rhs compiles
+   integral (otherwise the unfused add runs in floats and truncates), bool
+   buffers never.  The add keeps the IR's operand order. *)
+let compile_store_fused (ctx : ctx) (scope : scope) (b : buffer)
+    (idx : expr list) (value : expr) (name : string) (cell : cell)
     (slot : int) : (state -> unit) option =
   if not !fusion_ref then None
   else
@@ -928,64 +1145,65 @@ let compile_store_fused (ctx : ctx) compile_rhs (b : buffer)
     | Some (load_left, rhs) ->
         if Dtype.is_float b.buf_dtype then begin
           ctx.n_fused <- ctx.n_fused + 1;
-          (* evaluation order matches the unfused [fa st +. fb st] closures:
-             the right operand of each add evaluates first *)
-          let mk frhs =
-            if load_left then fun st ->
-              let t = st.bufs.(slot) in
-              let i = off st t in
-              Tensor.set_f t i (Tensor.get_f t i +. frhs st)
-            else fun st ->
-              let t = st.bufs.(slot) in
-              let i = off st t in
-              let v = Tensor.get_f t i in
-              Tensor.set_f t i (frhs st +. v)
+          let frhs =
+            match rhs with
+            | Binop (Mul, x, y) -> (
+                match (compile_expr ctx scope x, compile_expr ctx scope y) with
+                | CI _, CI _ ->
+                    (* int*int product converts to float once, after the
+                       int multiply: keep the generic compiled rhs *)
+                    None
+                | cx, cy -> Some (as_f cx, as_f cy))
+            | _ -> None
           in
-          match rhs with
-          | Binop (Mul, x, y) -> (
-              match (compile_rhs x, compile_rhs y) with
-              | CI _, CI _ ->
-                  (* int*int product converts to float once, after the int
-                     multiply: keep the generic compiled rhs *)
-                  Some (mk (as_f (compile_rhs rhs)))
-              | cx, cy ->
-                  (* FMA shape: inline the multiply into the store closure *)
-                  let fx = as_f cx and fy = as_f cy in
-                  if load_left then
-                    Some
-                      (fun st ->
-                        let t = st.bufs.(slot) in
-                        let i = off st t in
-                        Tensor.set_f t i (Tensor.get_f t i +. (fx st *. fy st)))
-                  else
-                    Some
-                      (fun st ->
-                        let t = st.bufs.(slot) in
-                        let i = off st t in
-                        let v = Tensor.get_f t i in
-                        Tensor.set_f t i ((fx st *. fy st) +. v)))
-          | _ -> Some (mk (as_f (compile_rhs rhs)))
+          match (frhs, load_left) with
+          | Some (fx, fy), true ->
+              (* FMA shape: the multiply inlined into the store closure *)
+              Some
+                (fun st ->
+                  let t = st.bufs.(slot) in
+                  let i = cell_offset name cell st t in
+                  write_f t i (read_f t i +. (fx st *. fy st)))
+          | Some (fx, fy), false ->
+              Some
+                (fun st ->
+                  let t = st.bufs.(slot) in
+                  let i = cell_offset name cell st t in
+                  write_f t i ((fx st *. fy st) +. read_f t i))
+          | None, _ -> (
+              let fr = as_f (compile_expr ctx scope rhs) in
+              if load_left then
+                Some
+                  (fun st ->
+                    let t = st.bufs.(slot) in
+                    let i = cell_offset name cell st t in
+                    write_f t i (read_f t i +. fr st))
+              else
+                Some
+                  (fun st ->
+                    let t = st.bufs.(slot) in
+                    let i = cell_offset name cell st t in
+                    write_f t i (fr st +. read_f t i)))
         end
         else if b.buf_dtype = Dtype.Bool then None
         else
           (* int accumulate: only when the rhs is integral (the unfused add
              would otherwise run in floats and truncate on store) *)
-          match compile_rhs rhs with
-          | CI fr ->
+          match compile_expr ctx scope rhs with
+          | CI r ->
               ctx.n_fused <- ctx.n_fused + 1;
               if load_left then
                 Some
                   (fun st ->
                     let t = st.bufs.(slot) in
-                    let i = off st t in
-                    Tensor.set_i t i (Tensor.get_i t i + fr st))
+                    let i = cell_offset name cell st t in
+                    write_i t i (read_i t i + iget r st))
               else
                 Some
                   (fun st ->
                     let t = st.bufs.(slot) in
-                    let i = off st t in
-                    let v = Tensor.get_i t i in
-                    Tensor.set_i t i (fr st + v))
+                    let i = cell_offset name cell st t in
+                    write_i t i (iget r st + read_i t i))
           | _ -> None
 
 let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
@@ -993,28 +1211,23 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
   | Store (b, idx, value) -> (
       guard_flat b;
       let slot = buf_slot scope b in
-      let off =
-        compile_offset_strict
-          (Printf.sprintf "Engine: store %s" b.buf_name)
-          (compile_expr ctx scope) idx
-      in
-      match
-        compile_store_fused ctx (compile_expr ctx scope) b idx value off slot
-      with
+      let name = Printf.sprintf "Engine: store %s" b.buf_name in
+      let cell = compile_cell ctx scope idx in
+      match compile_store_fused ctx scope b idx value name cell slot with
       | Some fused -> fused
       | None ->
           if Dtype.is_float b.buf_dtype then
             let fv = as_f (compile_expr ctx scope value) in
             fun st ->
               let t = st.bufs.(slot) in
-              let i = off st t in
-              Tensor.set_f t i (fv st)
+              let i = cell_offset name cell st t in
+              write_f t i (fv st)
           else
-            let fv = as_i (compile_expr ctx scope value) in
+            let v = as_i (compile_expr ctx scope value) in
             fun st ->
               let t = st.bufs.(slot) in
-              let i = off st t in
-              Tensor.set_i t i (fv st))
+              let i = cell_offset name cell st t in
+              write_i t i (iget v st))
   | Seq ss -> (
       let fs = Array.of_list (List.map (compile_stmt ctx scope) ss) in
       match fs with
@@ -1070,9 +1283,8 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                (not (is_sparse_buffer b)) && Imap.mem b.buf_id scope.sc_bufs)
              (Analysis.buffers_of_expr e)
       in
-      let body, body_scope, prologue, lin_inits, lin_steps =
-        if not !fusion_ref then
-          (body, bind_var scope for_var (Si slot), [], [], [])
+      let body, body_scope, prologue, lins =
+        if not !fusion_ref then (body, bind_var scope for_var (Si slot), [], [])
         else begin
           (* candidates are all extracted from (and substituted into) the
              original body in one pass, and compiled in the enclosing scope,
@@ -1099,9 +1311,9 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
             |> List.map (fun e ->
                    let setter, sl =
                      match compile_expr ctx scope e with
-                     | CI f ->
+                     | CI a ->
                          let s = fresh_i ctx in
-                         ((fun st -> st.ints.(s) <- f st), Si s)
+                         ((fun st -> st.ints.(s) <- iget a st), Si s)
                      | CF f ->
                          let s = fresh_f ctx in
                          ((fun st -> st.floats.(s) <- f st), Sf s)
@@ -1133,17 +1345,11 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
             bind_var sc for_var (Si slot),
             List.map
               (fun (_, _, frest, rest_slot, _, _) ->
-                fun st -> st.ints.(rest_slot) <- frest st)
+                fun st -> st.ints.(rest_slot) <- iget frest st)
               lins
             @ List.map (fun (_, _, setter, _) -> setter) invs,
             List.map
-              (fun (_, c, _, rest_slot, run_slot, _) ->
-                fun st start ->
-                 st.ints.(run_slot) <- (c * start) + st.ints.(rest_slot))
-              lins,
-            List.map
-              (fun (_, c, _, _, run_slot, _) ->
-                fun st -> st.ints.(run_slot) <- st.ints.(run_slot) + c)
+              (fun (_, c, _, rest_slot, run_slot, _) -> (c, rest_slot, run_slot))
               lins )
         end
       in
@@ -1154,48 +1360,34 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           prologue.(k) st
         done
       in
-      let init_chunk =
-        match Array.of_list lin_inits with
-        | [||] -> fun _ _ -> ()
-        | [| f |] -> f
-        | fs ->
-            fun st start ->
-              for k = 0 to Array.length fs - 1 do
-                fs.(k) st start
-              done
-      in
-      let step =
-        match Array.of_list lin_steps with
-        | [||] -> None
-        | [| f |] -> Some f
-        | fs ->
-            Some
-              (fun st ->
-                for k = 0 to Array.length fs - 1 do
-                  fs.(k) st
-                done)
-      in
+      let lin_c = Array.of_list (List.map (fun (c, _, _) -> c) lins) in
+      let lin_rest = Array.of_list (List.map (fun (_, r, _) -> r) lins) in
+      let lin_run = Array.of_list (List.map (fun (_, _, r) -> r) lins) in
+      let nlin = Array.length lin_c in
       (* chunk runner: re-seeds every running offset at the chunk start, so
          the same closure serves the serial loop (one chunk [0,n)) and the
          atomic-cursor parallel chunks *)
       let iterate fbody =
-        match step with
-        | None ->
-            fun st lo hi ->
-              let a = st.ints in
-              for i = lo to hi - 1 do
-                a.(slot) <- i;
-                fbody st
+        if nlin = 0 then
+          fun st lo hi ->
+            let a = st.ints in
+            for i = lo to hi - 1 do
+              a.(slot) <- i;
+              fbody st
+            done
+        else
+          fun st lo hi ->
+            let a = st.ints in
+            for k = 0 to nlin - 1 do
+              a.(lin_run.(k)) <- (lin_c.(k) * lo) + a.(lin_rest.(k))
+            done;
+            for i = lo to hi - 1 do
+              a.(slot) <- i;
+              fbody st;
+              for k = 0 to nlin - 1 do
+                a.(lin_run.(k)) <- a.(lin_run.(k)) + lin_c.(k)
               done
-        | Some stepf ->
-            fun st lo hi ->
-              init_chunk st lo;
-              let a = st.ints in
-              for i = lo to hi - 1 do
-                a.(slot) <- i;
-                fbody st;
-                stepf st
-              done
+            done
       in
       match disjoint with
       | Some (Analysis.Par ws) ->
@@ -1245,18 +1437,10 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           let pcache = make_par_cache () in
           let steal = skew_hint || gathers <> [] in
           fun st ->
-            let n = ext st in
+            let n = iget ext st in
             run_prologue st;
-            (* a leased driver caps its parallel loops at the lease width
-               and steers them onto the leased workers only; unleased
-               domains (the main domain) use the whole budget and pool *)
             let lease = !(Domain.DLS.get current_lease) in
-            let budget =
-              match lease with
-              | Some l -> l.l_width
-              | None -> !num_domains_ref
-            in
-            let d = min budget n in
+            let d = min (loop_budget lease) n in
             if d <= 1 then iter st 0 n
             else begin
               (* runtime facts for every gather map: injective maps scatter
@@ -1503,18 +1687,22 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
             end
       | Some (Analysis.Serial reason) ->
           (* unprovable write-disjointness: serial fallback, counted (with
-             the analysis' reason) so tests and the bench can see why *)
+             the analysis' reason) so tests and the bench can see why — but
+             only when the budget would have run it parallel: with one
+             domain the Par path above runs serially uncounted too *)
           let fbody = compile_stmt ctx body_scope body in
           let iter = iterate fbody in
           let fellback = ctx.fallback_runs in
           let reasons = ctx.reasons in
           let ri = reason_index reason in
           fun st ->
-            incr fellback;
-            Atomic.incr total_fallback_runs;
-            reasons.(ri) <- reasons.(ri) + 1;
-            Atomic.incr total_reasons.(ri);
-            let n = ext st in
+            let n = iget ext st in
+            if min (loop_budget !(Domain.DLS.get current_lease)) n > 1 then begin
+              incr fellback;
+              Atomic.incr total_fallback_runs;
+              reasons.(ri) <- reasons.(ri) + 1;
+              Atomic.incr total_reasons.(ri)
+            end;
             run_prologue st;
             iter st 0 n
       | None ->
@@ -1524,7 +1712,7 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           let fbody = compile_stmt ctx body_scope body in
           let iter = iterate fbody in
           fun st ->
-            let n = ext st in
+            let n = iget ext st in
             run_prologue st;
             iter st 0 n)
   | If (c, t, f) -> (
@@ -1537,11 +1725,11 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           fun st -> if fc st then ft st else ff st)
   | Let_stmt (x, value, body) -> (
       match compile_expr ctx scope value with
-      | CI f ->
+      | CI a ->
           let slot = fresh_i ctx in
           let fbody = compile_stmt ctx (bind_var scope x (Si slot)) body in
           fun st ->
-            st.ints.(slot) <- f st;
+            st.ints.(slot) <- iget a st;
             fbody st
       | CF f ->
           let slot = fresh_f ctx in
@@ -1557,107 +1745,127 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
             fbody st)
   | Block_stmt blk ->
       (* every bind evaluates in the enclosing scope (as in the interpreter,
-         which computes all values before installing any); init runs when all
-         reduction iters sit at the start of their domain *)
-      let binds =
-        List.map (fun bi -> (bi, compile_expr ctx scope bi.bi_bind))
-          blk.blk_iters
-      in
-      let scope', rev_set, rev_chk =
+         which computes all values before installing any: the binds cannot
+         see the fresh slots); init runs when all reduction iters sit at the
+         start of their domain.  Int binds — the common case — copy their
+         leaves inline and their reduction checks read the slots directly;
+         float and bool binds keep a closure each. *)
+      let scope', ibinds, obinds, ichks, ochks =
         List.fold_left
-          (fun (sc, sets, chks) ((bi : block_iter), cv) ->
-            let sc', set, at_zero =
-              match cv with
-              | CI f ->
-                  let s = fresh_i ctx in
-                  ( bind_var sc bi.bi_var (Si s),
-                    (fun st -> st.ints.(s) <- f st),
-                    fun (st : state) -> st.ints.(s) = 0 )
-              | CF f ->
-                  let s = fresh_f ctx in
-                  (* the start of every iter domain is 0: compare the float
-                     value against it exactly (truncating through
-                     int_of_float would treat any bind in (-1, 1), e.g. 0.5,
-                     as the domain start and re-fire init mid-reduction) *)
-                  ( bind_var sc bi.bi_var (Sf s),
-                    (fun st -> st.floats.(s) <- f st),
-                    fun (st : state) -> st.floats.(s) = 0.0 )
-              | CB f ->
-                  let s = fresh_b ctx in
-                  ( bind_var sc bi.bi_var (Sb s),
-                    (fun st -> st.bools.(s) <- f st),
-                    fun (st : state) -> not st.bools.(s) )
-            in
-            let chks =
-              match bi.bi_kind with
-              | Reduce -> at_zero :: chks
-              | Spatial -> chks
-            in
-            (sc', set :: sets, chks))
-          (scope, [], []) binds
+          (fun (sc, ib, ob, ic, oc) (bi : block_iter) ->
+            let reduce = bi.bi_kind = Reduce in
+            match compile_expr ctx scope bi.bi_bind with
+            | CI a ->
+                let s = fresh_i ctx in
+                ( bind_var sc bi.bi_var (Si s),
+                  (s, a) :: ib,
+                  ob,
+                  (if reduce then s :: ic else ic),
+                  oc )
+            | CF f ->
+                let s = fresh_f ctx in
+                (* the start of every iter domain is 0: compare the float
+                   value against it exactly (truncating through
+                   int_of_float would treat any bind in (-1, 1), e.g. 0.5,
+                   as the domain start and re-fire init mid-reduction) *)
+                ( bind_var sc bi.bi_var (Sf s),
+                  ib,
+                  (fun st -> st.floats.(s) <- f st) :: ob,
+                  ic,
+                  if reduce then (fun (st : state) -> st.floats.(s) = 0.0) :: oc
+                  else oc )
+            | CB f ->
+                let s = fresh_b ctx in
+                ( bind_var sc bi.bi_var (Sb s),
+                  ib,
+                  (fun st -> st.bools.(s) <- f st) :: ob,
+                  ic,
+                  if reduce then (fun (st : state) -> not st.bools.(s)) :: oc
+                  else oc ))
+          (scope, [], [], [], []) blk.blk_iters
       in
-      let setters = Array.of_list (List.rev rev_set) in
-      let checks = Array.of_list (List.rev rev_chk) in
+      let idst = Array.of_list (List.rev_map fst ibinds) in
+      let isrc = Array.of_list (List.rev_map snd ibinds) in
+      let oset = Array.of_list (List.rev obinds) in
+      let ichk = Array.of_list (List.rev ichks) in
+      let ochk = Array.of_list (List.rev ochks) in
+      let ni = Array.length idst and no = Array.length oset in
+      let nic = Array.length ichk and noc = Array.length ochk in
+      let bind st =
+        let ints = st.ints in
+        for k = 0 to ni - 1 do
+          ints.(idst.(k)) <- iget isrc.(k) st
+        done;
+        for k = 0 to no - 1 do
+          oset.(k) st
+        done
+      in
+      let at_init st =
+        let ints = st.ints in
+        let ok = ref true in
+        for k = 0 to nic - 1 do
+          if ints.(ichk.(k)) <> 0 then ok := false
+        done;
+        for k = 0 to noc - 1 do
+          if not (ochk.(k) st) then ok := false
+        done;
+        !ok
+      in
       let fbody = compile_stmt ctx scope' blk.blk_body in
-      let nset = Array.length setters and nchk = Array.length checks in
       (match Option.map (compile_stmt ctx scope') blk.blk_init with
       | None ->
           fun st ->
-            for i = 0 to nset - 1 do
-              setters.(i) st
-            done;
+            bind st;
             fbody st
       | Some finit ->
           fun st ->
-            for i = 0 to nset - 1 do
-              setters.(i) st
-            done;
-            let at_init = ref true in
-            for i = 0 to nchk - 1 do
-              if not (checks.(i) st) then at_init := false
-            done;
-            if !at_init then finit st;
+            bind st;
+            if at_init st then finit st;
             fbody st)
   | Alloc (b, body) ->
       let dims =
-        Array.of_list
-          (List.map
-             (fun e ->
-               match Analysis.const_int_opt e with
-               | Some n -> fun _ -> n
-               | None -> as_i (compile_expr ctx scope e))
-             b.buf_shape)
+        List.map
+          (fun e ->
+            match Analysis.const_int_opt e with
+            | Some n -> Const n
+            | None -> as_i (compile_expr ctx scope e))
+          b.buf_shape
       in
       let slot = fresh_buf ctx in
       let fbody = compile_stmt ctx (bind_buf scope b slot) body in
       let dt = b.buf_dtype in
-      fun st ->
-        let shape = Array.to_list (Array.map (fun f -> f st) dims) in
-        st.bufs.(slot) <- Tensor.create dt shape;
+      let consts = List.filter_map (function Const n -> Some n | _ -> None) dims in
+      if List.length consts = List.length dims then fun st ->
+        st.bufs.(slot) <- Tensor.create dt consts;
         fbody st
+      else
+        let dims = Array.of_list dims in
+        fun st ->
+          let shape = Array.to_list (Array.map (fun a -> iget a st) dims) in
+          st.bufs.(slot) <- Tensor.create dt shape;
+          fbody st
   | Eval e -> (
       match compile_expr ctx scope e with
-      | CI f -> fun st -> ignore (f st)
+      | CI a -> fun st -> ignore (iget a st)
       | CF f -> fun st -> ignore (f st)
       | CB f -> fun st -> ignore (f st))
   | Mma_sync m ->
       let operand (o : mma_operand) =
         ( buf_slot scope o.op_buf,
-          compile_offset_strict
-            (Printf.sprintf "Engine: mma %s" o.op_buf.buf_name)
-            (compile_expr ctx scope) o.op_origin,
+          Printf.sprintf "Engine: mma %s" o.op_buf.buf_name,
+          compile_cell ctx scope o.op_origin,
           as_i (compile_expr ctx scope o.op_ld) )
       in
-      let sa, offa, lda = operand m.mma_a in
-      let sb, offb, ldb = operand m.mma_b in
-      let sc, offc, ldc = operand m.mma_c in
+      let sa, na, ca, lda = operand m.mma_a in
+      let sb, nb, cb, ldb = operand m.mma_b in
+      let sc, nc, cc, ldc = operand m.mma_c in
       let mm = m.mma_m and nn = m.mma_n and kk = m.mma_k in
       fun st ->
         let ta = st.bufs.(sa) and tb = st.bufs.(sb) and tc = st.bufs.(sc) in
         Prims.mma ~m:mm ~n:nn ~k:kk
-          (ta, offa st ta, lda st)
-          (tb, offb st tb, ldb st)
-          (tc, offc st tc, ldc st)
+          (ta, cell_offset na ca st ta, iget lda st)
+          (tb, cell_offset nb cb st tb, iget ldb st)
+          (tc, cell_offset nc cc st tc, iget ldc st)
   | Sp_iter_stmt sp ->
       cerr "sparse iteration %s reached codegen: lower it first" sp.sp_name
 

@@ -2,8 +2,10 @@
 
     An ahead-of-time closure compiler: a verified flat func is translated
     once into nested native OCaml closures with variables resolved to
-    pre-allocated slot arrays and dtype dispatch monomorphized into unboxed
-    int/float paths, then invoked per execution.  Semantics are exactly those
+    pre-allocated slot arrays, dtype dispatch monomorphized into unboxed
+    int/float paths, int leaves folded into their parent closures, and
+    buffer accesses specialized on dtype and index arity, then invoked per
+    execution.  Semantics are exactly those
     of the tree-walking interpreter {!Tir.Eval} (enforced by the differential
     harness in test/test_engine.ml); the win is throughput.  See DESIGN.md
     §3c. *)

@@ -161,8 +161,11 @@ let batch_func ~(copies : int) (fn : func) : func =
 (* Batch grouping keys on the physical identity of step templates: the
    pipeline compile cache hands every instance of a (kernel, schedule) the
    same func value, so [==] is exactly "same kernel, same schedule".  Ids
-   are handed out per distinct template and never reused. *)
-module Fid = Hashtbl.Make (struct
+   are handed out per distinct template and never reused.  The table holds
+   its keys weakly: a template no request, cache or caller still reaches
+   drops out, so a long-running server with evolving tenants does not keep
+   every template it ever saw. *)
+module Fid = Ephemeron.K1.Make (struct
   type t = func
 
   let equal = ( == )
@@ -198,7 +201,9 @@ let default_config =
 type request = {
   rq_id : int;
   rq_tenant : string;
-  rq_steps : (func * Gpusim.bindings) list;
+  mutable rq_steps : (func * Gpusim.bindings) list;
+      (** emptied when the request retires, so [completed] keeps only the
+          record, id and timestamps, not the step funcs and bindings *)
   rq_key : string;  (** tenant + step-template uids: the batch group *)
   rq_arrival : float;
   mutable rq_done : float;
@@ -466,6 +471,12 @@ let launch (t : t) (reqs : request list) (lease : Engine.lease) : unit =
     }
     :: t.inflight
 
+(* A retired request drops its steps but keeps its record: [completed] is
+   read by physical identity, and its id and timestamps feed [stats]. *)
+let retire (t : t) (reqs : request list) : unit =
+  List.iter (fun r -> r.rq_steps <- []) reqs;
+  t.completed <- reqs @ t.completed
+
 (* Last-resort progress: run a batch synchronously on the draining domain,
    no lease and no driver.  Used only when nothing is inflight and no lease
    can be had (e.g. the budget is held by leases outside this server), so
@@ -482,7 +493,7 @@ let run_inline (t : t) (reqs : request list) : unit =
   total_occupancy := !total_occupancy + List.length reqs;
   total_requests := !total_requests + List.length reqs;
   t.t_last <- (if Float.is_nan t.t_last then tdone else max t.t_last tdone);
-  t.completed <- reqs @ t.completed
+  retire t reqs
 
 (* Retire finished batches; returns whether any retired.  A driver failure
    re-raises on the draining domain after its lease is released. *)
@@ -498,7 +509,7 @@ let reap (t : t) : bool =
           t.t_last <-
             (if Float.is_nan t.t_last then r.rq_done else max t.t_last r.rq_done))
         i.in_reqs;
-      t.completed <- i.in_reqs @ t.completed;
+      retire t i.in_reqs;
       match Atomic.get i.in_fail with Some e -> raise e | None -> ())
     fin;
   fin <> []

@@ -19,11 +19,23 @@ type t = {
 let next_id = Atomic.make 0
 let fresh_id () = Atomic.fetch_and_add next_id 1
 
-let numel (t : t) = Array.fold_left ( * ) 1 t.shape
+(* Invariant: the storage array holds exactly [numel] elements, the product
+   of the shape.  [create] sizes the storage from the shape,
+   [of_float_array]/[of_int_array] reject a mismatch and [copy] keeps both,
+   and no other code builds a [t]; so the element count is the storage
+   length, read in O(1).  The compiled engine's O(1) bounds checks rely on
+   this too. *)
+let numel (t : t) =
+  match t.data with
+  | F a -> Array.length a
+  | I a -> Array.length a
+  | B a -> Array.length a
+
+let shape_numel (shape : int array) = Array.fold_left ( * ) 1 shape
 
 let create (dtype : Dtype.t) (shape : int list) : t =
   let shape = Array.of_list shape in
-  let n = Array.fold_left ( * ) 1 shape in
+  let n = shape_numel shape in
   let data =
     if Dtype.is_float dtype then F (Array.make n 0.0)
     else if dtype = Dtype.Bool then B (Array.make n false)
@@ -37,7 +49,8 @@ let of_float_array ?(dtype = Dtype.F32) (shape : int list) (a : float array) : t
     { dtype; shape = Array.of_list shape; data = F a; id = fresh_id ();
       version = 0 }
   in
-  if numel t <> Array.length a then invalid_arg "Tensor.of_float_array: shape";
+  if shape_numel t.shape <> Array.length a then
+    invalid_arg "Tensor.of_float_array: shape";
   t
 
 let of_int_array ?(dtype = Dtype.I32) (shape : int list) (a : int array) : t =
@@ -45,7 +58,8 @@ let of_int_array ?(dtype = Dtype.I32) (shape : int list) (a : int array) : t =
     { dtype; shape = Array.of_list shape; data = I a; id = fresh_id ();
       version = 0 }
   in
-  if numel t <> Array.length a then invalid_arg "Tensor.of_int_array: shape";
+  if shape_numel t.shape <> Array.length a then
+    invalid_arg "Tensor.of_int_array: shape";
   t
 
 let flat_index (t : t) (idx : int array) : int =

@@ -18,6 +18,13 @@ type t = {
 }
 
 val numel : t -> int
+(** Element count, the product of [shape].  Invariant: the storage array in
+    [data] holds exactly [numel] elements.  Every constructor in this module
+    enforces it ({!create} sizes the storage from the shape,
+    {!of_float_array}/{!of_int_array} reject a mismatch, {!copy} keeps
+    both), and code outside this module must not build a [t] directly.  So
+    [numel] is the storage length, read in O(1), and the compiled engine
+    bounds-checks flat offsets against that length. *)
 
 val create : Dtype.t -> int list -> t
 (** Zero-initialized tensor. *)

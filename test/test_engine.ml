@@ -669,6 +669,378 @@ let test_stealing_skewed_bit_identical () =
   Alcotest.(check bool) "stolen-chunk counter monotone" true
     (Engine.stolen_chunks () >= stolen0)
 
+(* An unprovable blockIdx loop counts a serial fallback only when the
+   domain budget would have run it parallel: on 1 domain it runs serially
+   uncounted, as a provable loop does, and on 4 domains every run counts. *)
+let test_fallback_needs_budget () =
+  let open Tir in
+  let open Builder in
+  let n = 16 in
+  let a_buf = buffer ~dtype:Dtype.F32 "A" [ int n ] in
+  let c_buf = buffer ~dtype:Dtype.F32 "C" [ int 1 ] in
+  let fn =
+    func "eng_fallback_budget" [ a_buf; c_buf ]
+      (for_ ~kind:(Ir.Thread_bind Ir.Block_x) "i" (int n) (fun i ->
+           store c_buf [ int 0 ] (load c_buf [ int 0 ] +: load a_buf [ i ])))
+  in
+  let a = Tensor.of_float_array [ n ] (Array.make n 1.0) in
+  let c = Tensor.create Dtype.F32 [ 1 ] in
+  let total () = List.fold_left (fun s (_, k) -> s + k) 0 in
+  let _, fb0, _ = Engine.parallel_totals () in
+  Engine.execute ~kind:Engine.Compiled ~num_domains:1 fn [ a; c ];
+  let art = Engine.artifact fn in
+  Alcotest.(check int) "1 domain: no fallback" 0 (Engine.fallback_runs art);
+  Alcotest.(check int) "1 domain: no reason counted" 0
+    (total () (Engine.fallback_reasons art));
+  let _, fb1, _ = Engine.parallel_totals () in
+  Alcotest.(check int) "1 domain: process total unchanged" fb0 fb1;
+  Engine.execute ~kind:Engine.Compiled ~num_domains:4 fn [ a; c ];
+  Alcotest.(check int) "4 domains: one fallback" 1 (Engine.fallback_runs art);
+  Alcotest.(check int) "4 domains: one reason counted" 1
+    (total () (Engine.fallback_reasons art));
+  Alcotest.(check int) "never parallel" 0 (Engine.par_runs art);
+  Alcotest.(check (float 0.0)) "both runs accumulated exactly"
+    (float_of_int (2 * n))
+    (Tensor.to_float_array c).(0)
+
+(* ---------------- specialized buffer access ---------------- *)
+
+(* Run [fn] on fresh arguments under the interpreter and under artifacts
+   compiled with fusion on and off (via [Engine.compile], bypassing the
+   memo).  [args ()] returns the arguments and the output to read; each leg
+   yields the output's bit patterns, or [None] when the run raised
+   [Invalid_argument]. *)
+let legs (fn : Tir.Ir.func)
+    (args : unit -> Tir.Tensor.t list * Tir.Tensor.t) :
+    (string * int64 array option) list =
+  let run exec =
+    let a, out = args () in
+    match exec a with
+    | () ->
+        Some (Array.map Int64.bits_of_float (Tir.Tensor.to_float_array out))
+    | exception Invalid_argument _ -> None
+  in
+  let compiled fusion =
+    Engine.set_fusion fusion;
+    Fun.protect ~finally:(fun () -> Engine.set_fusion true) (fun () ->
+        let art = Engine.compile fn in
+        run (Engine.run art))
+  in
+  [ ("interp", run (Tir.Eval.run_func fn));
+    ("fused", compiled true);
+    ("unfused", compiled false) ]
+
+(* Every leg bit-identical to the interpreter; returns the interpreter's
+   output as floats (None when it raised). *)
+let check_legs name fn args : float array option =
+  match legs fn args with
+  | (_, interp) :: rest ->
+      List.iter
+        (fun (leg, out) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s = interp bit-for-bit" name leg)
+            true (out = interp))
+        rest;
+      Option.map (Array.map Int64.float_of_bits) interp
+  | [] -> assert false
+
+let bits (xs : float array) = Array.map Int64.bits_of_float xs
+
+(* Out-of-range and negative indices on 1-D and 2-D loads read 0, through
+   constant, slot and computed index leaves; a single index into 2-D
+   storage is a flat offset checked against numel. *)
+let test_oob_loads () =
+  let open Tir in
+  let open Builder in
+  let a_buf = buffer ~dtype:Dtype.F32 "A" [ int 4 ] in
+  let m_buf = buffer ~dtype:Dtype.F32 "M" [ int 2; int 3 ] in
+  let i_buf = buffer ~dtype:Dtype.I32 "I" [ int 3 ] in
+  let out = buffer ~dtype:Dtype.F32 "Out" [ int 40 ] in
+  let ld1 b e = Ir.Load (b, [ e ]) and ld2 b e f = Ir.Load (b, [ e; f ]) in
+  let fixed =
+    [ ld1 a_buf (int (-1)); ld1 a_buf (int 4); ld1 a_buf (int 3);
+      ld2 m_buf (int (-1)) (int 0); ld2 m_buf (int 2) (int 0);
+      ld2 m_buf (int 0) (int 3); ld2 m_buf (int 0) (int (-1));
+      ld2 m_buf (int 1) (int 2); ld1 m_buf (int 5); ld1 m_buf (int 6);
+      cast Dtype.F32 (ld1 i_buf (int (-1)));
+      cast Dtype.F32 (ld1 i_buf (int 3));
+      cast Dtype.F32 (ld1 i_buf (int 2)) ]
+  in
+  let nf = List.length fixed in
+  let body =
+    seq
+      (List.mapi (fun k e -> store out [ int k ] e) fixed
+      @ [ for_ "i" (int 6) (fun i ->
+              let im1 = Ir.Binop (Ir.Sub, i, int 1) in
+              seq
+                [ store out [ int nf +: i ] (ld1 a_buf im1);
+                  store out
+                    [ int (nf + 6) +: i ]
+                    (ld2 m_buf (Ir.Binop (Ir.Sub, i, int 2)) im1);
+                  store out
+                    [ int (nf + 12) +: i ]
+                    (cast Dtype.F32 (ld2 i_buf i (int 0))) ]) ])
+  in
+  let fn = func "eng_oob_loads" [ a_buf; m_buf; i_buf; out ] body in
+  let args () =
+    let o = Tensor.create Dtype.F32 [ 40 ] in
+    ( [ Tensor.of_float_array [ 4 ] [| 1.; 2.; 3.; 4. |];
+        Tensor.of_float_array [ 2; 3 ] [| 5.; 6.; 7.; 8.; 9.; 10. |];
+        Tensor.of_int_array [ 3 ] [| 11; 12; 13 |];
+        o ],
+      o )
+  in
+  match check_legs "oob loads" fn args with
+  | None -> Alcotest.fail "an out-of-range load raised"
+  | Some r ->
+      Alcotest.(check (array (float 0.0)))
+        "fixed indices" [| 0.; 0.; 4.; 0.; 0.; 0.; 0.; 10.; 10.; 0.; 0.; 0.; 13. |]
+        (Array.sub r 0 nf);
+      Alcotest.(check (array (float 0.0)))
+        "A[i - 1]" [| 0.; 1.; 2.; 3.; 4.; 0. |] (Array.sub r nf 6);
+      Alcotest.(check (array (float 0.0)))
+        "M[i - 2, i - 1]" [| 0.; 0.; 6.; 10.; 0.; 0. |] (Array.sub r (nf + 6) 6);
+      Alcotest.(check (array (float 0.0)))
+        "I[i, 0] on 1-D storage" [| 0.; 0.; 0.; 0.; 0.; 0. |]
+        (Array.sub r (nf + 12) 6)
+
+(* A buffer declared 2-D but bound to 1-D or 3-D storage: every 2-D load
+   is rank-mismatched and reads 0, for float and int dtypes. *)
+let test_rank_mismatch_reads_zero () =
+  let open Tir in
+  let open Builder in
+  let m_buf = buffer ~dtype:Dtype.F32 "M" [ int 2; int 3 ] in
+  let i_buf = buffer ~dtype:Dtype.I32 "I" [ int 2; int 3 ] in
+  let out = buffer ~dtype:Dtype.F32 "Out" [ int 12 ] in
+  let fn =
+    func "eng_rank_mismatch" [ m_buf; i_buf; out ]
+      (for_ "r" (int 2) (fun r ->
+           for_ "c" (int 3) (fun c ->
+               let k = (r *: int 3) +: c in
+               seq
+                 [ store out [ k ] (load m_buf [ r; c ]);
+                   store out [ int 6 +: k ] (cast Dtype.F32 (load i_buf [ r; c ]))
+                 ])))
+  in
+  List.iter
+    (fun (label, shape) ->
+      let args () =
+        let o = Tensor.create Dtype.F32 [ 12 ] in
+        ( [ Tensor.of_float_array shape (Array.make 6 7.0);
+            Tensor.of_int_array shape (Array.make 6 9);
+            o ],
+          o )
+      in
+      match check_legs ("rank mismatch " ^ label) fn args with
+      | None -> Alcotest.fail "a rank-mismatched load raised"
+      | Some r ->
+          Alcotest.(check (array (float 0.0)))
+            (label ^ " storage reads 0") (Array.make 12 0.0) r)
+    [ ("1-D", [ 6 ]); ("3-D", [ 1; 2; 3 ]) ]
+
+(* Strict stores raise [Invalid_argument] in every engine: past the end of
+   1-D storage, negative, out of range in either dimension of 2-D storage,
+   and a single flat index past the end of 2-D storage. *)
+let test_oob_store_raises () =
+  let open Tir in
+  let open Builder in
+  let a_buf = buffer ~dtype:Dtype.F32 "A" [ int 4 ] in
+  let m_buf = buffer ~dtype:Dtype.F32 "M" [ int 2; int 3 ] in
+  let cases =
+    [ ("1-D past end", a_buf, [ int 4 ]); ("1-D negative", a_buf, [ int (-1) ]);
+      ("2-D row", m_buf, [ int 2; int 0 ]); ("2-D col", m_buf, [ int 0; int 3 ]);
+      ("2-D flat past end", m_buf, [ int 6 ]) ]
+  in
+  List.iter
+    (fun (label, b, idx) ->
+      let fn =
+        func "eng_oob_store" [ a_buf; m_buf ]
+          (for_ "i" (int 2) (fun i ->
+               store b idx (cast Dtype.F32 i +: float 1.0)))
+      in
+      let args () =
+        let a = Tensor.create Dtype.F32 [ 4 ] in
+        ([ a; Tensor.create Dtype.F32 [ 2; 3 ] ], a)
+      in
+      List.iter
+        (fun (leg, out) ->
+          Alcotest.(check bool) (label ^ ": " ^ leg ^ " raises") true
+            (out = None))
+        (legs fn args))
+    cases
+
+(* Int and float Min/Max applied directly must keep [Stdlib.min]/[max]
+   semantics: NaN and signed zeros resolve by operand order. *)
+let test_min_max () =
+  let open Tir in
+  let open Builder in
+  let f_buf = buffer ~dtype:Dtype.F32 "F" [ int 4 ] in
+  let i_buf = buffer ~dtype:Dtype.I32 "I" [ int 3 ] in
+  let out = buffer ~dtype:Dtype.F32 "Out" [ int 32 ] in
+  let f k = load f_buf [ int k ] and i k = load i_buf [ int k ] in
+  let mn a b = Ir.Binop (Ir.Min, a, b) and mx a b = Ir.Binop (Ir.Max, a, b) in
+  let pairs = [ (0, 1); (1, 0); (2, 3); (3, 2); (1, 1) ] in
+  let float_cases =
+    List.concat_map (fun (a, b) -> [ mn (f a) (f b); mx (f a) (f b) ]) pairs
+  in
+  let int_cases =
+    [ mn (i 0) (i 1); mx (i 0) (i 1); mn (i 1) (int 3); mx (int 3) (i 2);
+      mn (i 2) (i 2) ]
+  in
+  let mixed = [ mn (i 0) (f 0); mx (f 1) (i 1); mn (i 2) (f 1) ] in
+  let cases =
+    float_cases @ List.map (cast Dtype.F32) int_cases @ mixed
+  in
+  let fn =
+    func "eng_min_max" [ f_buf; i_buf; out ]
+      (seq (List.mapi (fun k e -> store out [ int k ] e) cases))
+  in
+  let args () =
+    let o = Tensor.create Dtype.F32 [ 32 ] in
+    ( [ Tensor.of_float_array [ 4 ] [| 1.0; Float.nan; -0.0; 0.0 |];
+        Tensor.of_int_array [ 3 ] [| -5; 7; 2 |];
+        o ],
+      o )
+  in
+  match check_legs "min/max" fn args with
+  | None -> Alcotest.fail "min/max raised"
+  | Some r ->
+      let n = List.length cases in
+      let expect =
+        List.concat_map
+          (fun (a, b) ->
+            let v = [| 1.0; Float.nan; -0.0; 0.0 |] in
+            [ Stdlib.min v.(a) v.(b); Stdlib.max v.(a) v.(b) ])
+          pairs
+        @ [ -5.; 7.; 3.; 3.; 2.; -5.; 7.; Float.nan ]
+      in
+      Alcotest.(check bool) "Stdlib.min/max semantics, bit-for-bit" true
+        (bits (Array.sub r 0 n) = bits (Array.of_list expect))
+
+(* Mixed int and float arithmetic: int/int stays integral (truncating
+   division, floor division and modulo of negatives), anything else
+   computes in floats; comparisons of mixed operands compare as floats. *)
+let test_mixed_arith () =
+  let open Tir in
+  let open Builder in
+  let i_buf = buffer ~dtype:Dtype.I32 "I" [ int 3 ] in
+  let f_buf = buffer ~dtype:Dtype.F32 "F" [ int 2 ] in
+  let out = buffer ~dtype:Dtype.F32 "Out" [ int 32 ] in
+  let iout = buffer ~dtype:Dtype.I32 "IOut" [ int 16 ] in
+  let i k = load i_buf [ int k ] and f k = load f_buf [ int k ] in
+  let bin op a b = Ir.Binop (op, a, b) in
+  let fcases =
+    [ bin Ir.Add (i 0) (f 0); bin Ir.Mul (i 1) (f 1); bin Ir.Div (i 0) (f 0);
+      bin Ir.Sub (f 1) (i 2); bin Ir.Div (i 0) (i 2);
+      cast Dtype.F32 (bin Ir.Lt (i 0) (f 0));
+      cast Dtype.F32 (bin Ir.Ge (f 1) (i 1));
+      cast Dtype.F32 (bin Ir.Eq (i 2) (int 3)) ]
+  in
+  let icases =
+    [ bin Ir.Sub (i 0) (int 4); bin Ir.Sub (int 4) (i 0); bin Ir.Mul (i 1) (int 3);
+      bin Ir.Div (i 0) (int 2); bin Ir.Div (i 0) (i 2);
+      bin Ir.Floor_div (i 0) (int 2); bin Ir.Floor_div (i 0) (i 2);
+      bin Ir.Floor_mod (i 0) (int 3); bin Ir.Floor_mod (i 0) (i 2);
+      bin Ir.Add (bin Ir.Mul (i 1) (int 2)) (i 2);
+      (* a float stored to an int buffer truncates *)
+      bin Ir.Mul (f 1) (i 2) ]
+  in
+  let fn =
+    func "eng_mixed_arith" [ i_buf; f_buf; out; iout ]
+      (seq
+         (List.mapi (fun k e -> store out [ int k ] e) fcases
+         @ List.mapi (fun k e -> store iout [ int k ] e) icases))
+  in
+  let args () =
+    let o = Tensor.create Dtype.F32 [ 32 ] and io = Tensor.create Dtype.I32 [ 16 ] in
+    ( [ Tensor.of_int_array [ 3 ] [| -7; 5; 3 |];
+        Tensor.of_float_array [ 2 ] [| 0.5; -2.25 |];
+        o; io ],
+      io )
+  in
+  (match check_legs "mixed arith (int out)" fn args with
+  | None -> Alcotest.fail "mixed arithmetic raised"
+  | Some r ->
+      Alcotest.(check (array (float 0.0)))
+        "int results"
+        [| -11.; 11.; 15.; -3.; -2.; -4.; -3.; 2.; 2.; 13.; -6.; 0.; 0.; 0.; 0.; 0. |]
+        r);
+  let fargs () =
+    let a, _ = args () in
+    (a, List.nth a 2)
+  in
+  match check_legs "mixed arith (float out)" fn fargs with
+  | None -> Alcotest.fail "mixed arithmetic raised"
+  | Some r ->
+      Alcotest.(check (array (float 0.0)))
+        "float results" [| -6.5; -11.25; -14.; -5.25; -2.; 1.; 0.; 1. |]
+        (Array.sub r 0 8)
+
+let mma_fn name ~a_dt ~b_dt ~c_dt =
+  let open Tir in
+  let open Builder in
+  let a_buf = buffer ~dtype:a_dt "A" [ int 4; int 4 ] in
+  let b_buf = buffer ~dtype:b_dt "B" [ int 4; int 4 ] in
+  let c_buf = buffer ~dtype:c_dt "C" [ int 4; int 4 ] in
+  let operand b = { Ir.op_buf = b; op_origin = [ int 0; int 0 ]; op_ld = int 4 } in
+  func name [ a_buf; b_buf; c_buf ]
+    (seq
+       [ Ir.Mma_sync
+           { Ir.mma_m = 4; mma_n = 4; mma_k = 4; mma_a = operand a_buf;
+             mma_b = operand b_buf; mma_c = operand c_buf };
+         (* a second product accumulates onto the first *)
+         Ir.Mma_sync
+           { Ir.mma_m = 4; mma_n = 4; mma_k = 4; mma_a = operand b_buf;
+             mma_b = operand a_buf; mma_c = operand c_buf } ])
+
+(* The MMA tile over float storage with an F16 accumulator: every stored
+   element rounds through half precision, identically in every engine. *)
+let test_mma_f16_accumulator () =
+  let open Tir in
+  let fn = mma_fn "eng_mma_f16" ~a_dt:Dtype.F32 ~b_dt:Dtype.F32 ~c_dt:Dtype.F16 in
+  let args () =
+    let c = Tensor.create Dtype.F16 [ 4; 4 ] in
+    Tensor.fill_f c 0.1;
+    ( [ Tensor.of_float_array [ 4; 4 ]
+          (Array.init 16 (fun k -> 1.0 +. (float_of_int k *. (2.0 ** -11.0))));
+        Tensor.of_float_array [ 4; 4 ]
+          (Array.init 16 (fun k -> float_of_int (k - 7) /. 3.0));
+        c ],
+      c )
+  in
+  match check_legs "mma f16 accumulator" fn args with
+  | None -> Alcotest.fail "mma raised"
+  | Some r ->
+      Alcotest.(check bool) "every element is half-precision" true
+        (Array.for_all (fun x -> Dtype.round_f16 x = x) r)
+
+(* Int-stored operands take [Prims.mma]'s per-element path, with the same
+   result in every engine and the exact integer products. *)
+let test_mma_int_storage () =
+  let open Tir in
+  let fn = mma_fn "eng_mma_int" ~a_dt:Dtype.I32 ~b_dt:Dtype.F32 ~c_dt:Dtype.F32 in
+  let av = Array.init 16 (fun k -> k - 5) and bv = Array.init 16 (fun k -> 2 * k) in
+  let args () =
+    let c = Tensor.create Dtype.F32 [ 4; 4 ] in
+    ( [ Tensor.of_int_array ~dtype:Dtype.I32 [ 4; 4 ] av;
+        Tensor.of_float_array [ 4; 4 ] (Array.map float_of_int bv);
+        c ],
+      c )
+  in
+  let expect =
+    Array.init 16 (fun k ->
+        let i = k / 4 and j = k mod 4 in
+        let s = ref 0 in
+        for l = 0 to 3 do
+          s := !s + (av.((i * 4) + l) * bv.((l * 4) + j))
+               + (bv.((i * 4) + l) * av.((l * 4) + j))
+        done;
+        float_of_int !s)
+  in
+  match check_legs "mma int storage" fn args with
+  | None -> Alcotest.fail "mma raised"
+  | Some r -> Alcotest.(check (array (float 0.0))) "exact products" expect r
+
 let () =
   Alcotest.run "engine"
     [ ( "differential",
@@ -711,4 +1083,19 @@ let () =
           Alcotest.test_case "replica cache: reuse and invalidation" `Quick
             test_replica_reuse;
           Alcotest.test_case "work stealing: skewed hyb bit-identical" `Quick
-            test_stealing_skewed_bit_identical ] ) ]
+            test_stealing_skewed_bit_identical;
+          Alcotest.test_case "fallbacks count only with a budget" `Quick
+            test_fallback_needs_budget ] );
+      ( "access",
+        [ Alcotest.test_case "out-of-range loads read 0" `Quick test_oob_loads;
+          Alcotest.test_case "rank-mismatched binding reads 0" `Quick
+            test_rank_mismatch_reads_zero;
+          Alcotest.test_case "out-of-range store raises" `Quick
+            test_oob_store_raises;
+          Alcotest.test_case "int and float min/max" `Quick test_min_max;
+          Alcotest.test_case "mixed int and float arithmetic" `Quick
+            test_mixed_arith;
+          Alcotest.test_case "mma with an f16 accumulator" `Quick
+            test_mma_f16_accumulator;
+          Alcotest.test_case "mma with int-stored operands" `Quick
+            test_mma_int_storage ] ) ]
