@@ -1,9 +1,9 @@
 (* Interpreter-vs-compiled throughput on the bechamel kernel set.
 
    Each kernel is built once through the pipeline (codegen happens there and
-   is excluded from the timed region), then executed under both engines with
-   adaptive iteration counts.  Prints the per-kernel comparison and writes
-   BENCH_engine.json so the perf trajectory is tracked across PRs. *)
+   is excluded from the timed region), then executed under both engines in
+   alternating rounds ([time_pair]).  Prints the per-kernel comparison and
+   writes BENCH_engine.json so the perf trajectory is tracked across PRs. *)
 
 open Formats
 
@@ -125,6 +125,49 @@ let time_ns ~(budget : float) (f : unit -> unit) : float =
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
 
+(* Rounds [time_pair] alternates over; odd, so the median is one round. *)
+let pair_rounds = 7
+
+(* Median ns/iter of two legs timed alternately.  Each leg gets one untimed
+   warm-up run (which also forces codegen for the compiled engine) and one
+   calibration run that sizes its per-round iteration count to [budget]
+   seconds; then [pair_rounds] rounds time both legs back to back, swapping
+   which goes first every round.  A shared host's speed drifts by tens of
+   percent within seconds: alternation exposes both legs to the same drift,
+   and the median drops the rounds a burst of contention disturbed. *)
+let time_pair ~(budget : float) (a : unit -> unit) (b : unit -> unit) :
+    float * float =
+  let iters f =
+    f ();
+    let t0 = Unix.gettimeofday () in
+    f ();
+    max 1 (int_of_float (budget /. Float.max (Unix.gettimeofday () -. t0) 1e-9))
+  in
+  let ia = iters a and ib = iters b in
+  let ns f k =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to k do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int k
+  in
+  let ta = Array.make pair_rounds 0.0 and tb = Array.make pair_rounds 0.0 in
+  for r = 0 to pair_rounds - 1 do
+    if r mod 2 = 0 then begin
+      ta.(r) <- ns a ia;
+      tb.(r) <- ns b ib
+    end
+    else begin
+      tb.(r) <- ns b ib;
+      ta.(r) <- ns a ia
+    end
+  done;
+  let median xs =
+    Array.sort compare xs;
+    xs.(pair_rounds / 2)
+  in
+  (median ta, median tb)
+
 let run ?(full = false) () =
   Report.header "Engine: interpreter vs compiled closures (wall clock)";
   (* pinned to one domain: this bench isolates codegen throughput, and its
@@ -140,8 +183,11 @@ let run ?(full = false) () =
     "compiled ns/it" "speedup" "fused/hoist/lin" "fb reasons";
   List.iter
     (fun c ->
-      let interp_ns = time_ns ~budget (fun () -> c.ck_run Engine.Interp) in
-      let compiled_ns = time_ns ~budget (fun () -> c.ck_run Engine.Compiled) in
+      let interp_ns, compiled_ns =
+        time_pair ~budget
+          (fun () -> c.ck_run Engine.Interp)
+          (fun () -> c.ck_run Engine.Compiled)
+      in
       let speedup = interp_ns /. compiled_ns in
       (* one untimed probe run at two domains: the timed legs pin domains=1
          where the parallel dispatch never fires, so this is what populates

@@ -1,8 +1,9 @@
 (* Serial vs domains-parallel execution of thread-bound kernels.
 
    Each case is a compiled kernel whose outer loop carries a blockIdx
-   binding: it runs through the compiled engine once with num_domains = 1
-   and once with the requested domain budget, against the same artifact (the
+   binding: it runs through the compiled engine with num_domains = 1 and
+   with the requested domain budget in alternating rounds
+   ([Engine_bench.time_pair]), against the same artifact (the
    parallel decision is made per run, so nothing recompiles between the two
    legs).  Outputs are compared bit-for-bit — the disjointness analysis
    promises the parallel schedule is invisible to results — and the timing
@@ -77,9 +78,14 @@ let run ?(full = false) ?(domains = 0) () =
   List.iter
     (fun c ->
       let exec nd = Gpusim.execute ~num_domains:nd c.pk_fn c.pk_bindings in
-      let serial_ns = Engine_bench.time_ns ~budget (fun () -> exec 1) in
+      let serial_ns, parallel_ns =
+        Engine_bench.time_pair ~budget
+          (fun () -> exec 1)
+          (fun () -> exec domains)
+      in
+      exec 1;
       let serial_out = Tir.Tensor.to_float_array c.pk_out in
-      let parallel_ns = Engine_bench.time_ns ~budget (fun () -> exec domains) in
+      exec domains;
       let parallel_out = Tir.Tensor.to_float_array c.pk_out in
       if serial_out <> parallel_out then
         failwith

@@ -295,6 +295,80 @@ let run_leased (l : lease) (f : unit -> 'a) : 'a =
   Fun.protect ~finally:(fun () -> slot := saved) f
 
 (* ------------------------------------------------------------------ *)
+(* Chunk scheduler                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Steal transfers across all parallel runs since [reset]; the parallel
+   bench prints it and bench_trend surfaces the totals. *)
+let total_stolen_chunks = Atomic.make 0
+let stolen_chunks () = Atomic.get total_stolen_chunks
+
+(* The engine's one chunk scheduler — the host copy of a GPU handing each
+   thread block to whichever SM is free.  [units] work units are spread
+   over [d] domains: the calling domain plus [d - 1] pool workers, which
+   are the leased driver's reserved workers or, unleased, the whole pool.
+   Each worker owns a contiguous range of units, both ends packed into one
+   atomic int (lo lsl shift | hi).  Owners CAS [grain_u]-unit chunks off
+   the low end and run them as [run_chunk w lo hi]; a worker whose range
+   is empty scans the others and CAS-steals the upper half of the first
+   victim holding more than one unit, installing it as its own range (a
+   plain store is safe there: nobody CASes an empty deque).  Every handoff
+   is CAS-linearized, so each unit executes exactly once, and [run_chunk]
+   is told which worker ran it — chunk logs are per worker, so stitching
+   is oblivious to stealing and outputs stay bit-identical.  The first
+   exception re-raises after the join; the raising worker's remaining
+   units may then not run.  [units] must not exceed [steal_max_units]. *)
+let steal_shift = 30
+let steal_mask = (1 lsl steal_shift) - 1
+let steal_max_units = steal_mask
+
+let run_stealing ~(lease : lease option) ~(d : int) ~(units : int)
+    ~(grain_u : int) ~(run_chunk : int -> int -> int -> unit) : unit =
+  let deques =
+    Array.init d (fun w ->
+        Atomic.make
+          (((w * units / d) lsl steal_shift) lor ((w + 1) * units / d)))
+  in
+  let body w =
+    let rec take () =
+      let q = deques.(w) in
+      let r = Atomic.get q in
+      let lo = r lsr steal_shift and hi = r land steal_mask in
+      if lo >= hi then steal 0
+      else
+        let lo' = min hi (lo + grain_u) in
+        if Atomic.compare_and_set q r ((lo' lsl steal_shift) lor hi) then begin
+          run_chunk w lo lo';
+          take ()
+        end
+        else take ()
+    and steal tries =
+      if tries >= d - 1 then ()
+      else
+        let v = (w + 1 + tries) mod d in
+        let q = deques.(v) in
+        let r = Atomic.get q in
+        let lo = r lsr steal_shift and hi = r land steal_mask in
+        (* a single remaining unit is left to its owner: stealing it would
+           only move the tail, not expose parallelism *)
+        if hi - lo <= 1 then steal (tries + 1)
+        else
+          let mid = (lo + hi + 1) / 2 in
+          if Atomic.compare_and_set q r ((lo lsl steal_shift) lor mid)
+          then begin
+            Atomic.incr total_stolen_chunks;
+            Atomic.set deques.(w) ((mid lsl steal_shift) lor hi);
+            take ()
+          end
+          else steal tries
+    in
+    take ()
+  in
+  match lease with
+  | Some l -> Pool.run_on (Array.sub l.l_workers 0 (d - 1)) body
+  | None -> Pool.run_group d body
+
+(* ------------------------------------------------------------------ *)
 (* Generic parallel tasks (format construction)                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -315,50 +389,32 @@ let parallel_width () : int =
     | Some l -> l.l_width
     | None -> max 1 !num_domains_ref
 
-(* Run [f 0] .. [f (k-1)], spreading tasks over the engine's domain pool
-   through an atomic cursor.  Composes with leases exactly like the kernel
-   dispatch: a leased driver steers tasks onto its reserved workers only,
-   so multi-tenant batches keep their isolation; unleased callers assume
-   exclusive use of the whole pool (the same contract as any unleased
-   parallel region).  Tasks must be independent — the call gives no
-   ordering between them — and exceptions re-raise after the join.  Used by
-   the format constructors ([Descriptor.build], [Hyb.of_csr]) for
+(* Run [f 0] .. [f (k-1)] as [k] one-task units on the chunk scheduler, so
+   tasks compose with leases exactly like the kernel dispatch: a leased
+   driver steers them onto its reserved workers only, keeping multi-tenant
+   batches isolated; unleased callers assume exclusive use of the whole
+   pool (the same contract as any unleased parallel region).  Tasks must
+   be independent — the call gives no ordering between them — and the
+   first exception re-raises after the join.  Used by the
+   format constructors ([Descriptor.build], [Hyb.of_csr]) for
    partition-parallel construction. *)
 let parallel_tasks (k : int) (f : int -> unit) : unit =
-  if k <= 0 then ()
-  else begin
-    let lease = !(Domain.DLS.get current_lease) in
-    let budget =
-      if !(Domain.DLS.get in_parallel_tasks) then 1
-      else match lease with Some l -> l.l_width | None -> !num_domains_ref
-    in
-    let d = min (max 1 budget) k in
-    if d <= 1 then
-      for i = 0 to k - 1 do
-        f i
-      done
-    else begin
-      let cursor = Atomic.make 0 in
-      let body _ =
+  let d = min (parallel_width ()) k in
+  if d <= 1 then
+    for i = 0 to k - 1 do
+      f i
+    done
+  else
+    run_stealing ~lease:!(Domain.DLS.get current_lease) ~d ~units:k ~grain_u:1
+      ~run_chunk:(fun _ lo hi ->
         let flag = Domain.DLS.get in_parallel_tasks in
         flag := true;
         Fun.protect
           ~finally:(fun () -> flag := false)
           (fun () ->
-            let rec pull () =
-              let i = Atomic.fetch_and_add cursor 1 in
-              if i < k then begin
-                f i;
-                pull ()
-              end
-            in
-            pull ())
-      in
-      match lease with
-      | Some l -> Pool.run_on (Array.sub l.l_workers 0 (d - 1)) body
-      | None -> Pool.run_group d body
-    end
-  end
+            for i = lo to hi - 1 do
+              f i
+            done))
 
 (* ------------------------------------------------------------------ *)
 (* Chunking and output tiling                                           *)
@@ -370,14 +426,12 @@ let cache_line_bytes = 64
    to clone and stitch than the false sharing it avoids. *)
 let strip_numel_cap = 1 lsl 16
 
-(* Chunk grain for the atomic-cursor scheduler.  The old
-   [max 1 (n / (4 * d))] floor degenerated to single-iteration chunks
-   whenever [n < 4 * d] (n atomic fetches for n iterations) and let the
-   final fetch issue a 1-iteration straggler; the ceiling issues at most
-   [4 * d] chunks.  [align] rounds the grain up to an iteration multiple
-   whose output rows start on a cache-line boundary (1 when no tiling
-   applies); the grain is capped at one aligned per-domain share so small
-   loops still spread across every domain. *)
+(* Iterations per chunk a worker takes off its range (or per monotone-gather
+   segment): ceil(n / 4d), so at most [4 * d] chunks and never a flood of
+   1-iteration chunks when [n < 4 * d].  [align] rounds the grain up to an
+   iteration multiple whose output rows start on a cache-line boundary (1
+   when no tiling applies); the grain is capped at one aligned per-domain
+   share so small loops still spread across every domain. *)
 let chunk_grain ~(n : int) ~(domains : int) ~(align : int) : int =
   if n <= 0 then 1
   else
@@ -463,72 +517,6 @@ let invalidate_par_cache (pc : par_cache) : unit =
 let total_replica_builds = Atomic.make 0
 let replica_builds () = Atomic.get total_replica_builds
 
-(* Work-stealing chunk deques, for loops whose per-iteration cost is skewed
-   (variable-nnz rows, hyb buckets — see [Analysis.loop_skew_hint]).  Each
-   worker owns a contiguous range of work units, both ends packed into one
-   atomic int (lo lsl shift | hi).  Owners CAS grain-sized chunks off the
-   low end; a worker whose range is empty scans the others and CAS-steals
-   the upper half of the first victim holding more than one unit, installing
-   it as its own range (a plain store is safe there: nobody CASes an empty
-   deque).  Every handoff is CAS-linearized, so each unit executes exactly
-   once, and chunks are logged by whichever worker ran them — the stitching
-   path is oblivious to stealing, which keeps outputs bit-identical.
-   Returns the number of steal transfers (surfaced by the parallel bench).
-
-   Units are chunk-shaped, not iterations: align-multiples for direct loops,
-   [aligned_bounds] segments for monotone gathers — so every cut stealing
-   can make is one the cursor scheduler could have made. *)
-let steal_shift = 30
-let steal_mask = (1 lsl steal_shift) - 1
-let steal_max_units = steal_mask
-
-let run_stealing ~(units : int) ~(grain_u : int) ~(d : int)
-    ~(run_chunk : int -> int -> int -> unit)
-    ~(launch : (int -> unit) -> unit) : int =
-  let deques =
-    Array.init d (fun w ->
-        Atomic.make
-          (((w * units / d) lsl steal_shift) lor ((w + 1) * units / d)))
-  in
-  let stolen = Atomic.make 0 in
-  let body w =
-    let rec take () =
-      let q = deques.(w) in
-      let r = Atomic.get q in
-      let lo = r lsr steal_shift and hi = r land steal_mask in
-      if lo >= hi then steal 0
-      else
-        let lo' = min hi (lo + grain_u) in
-        if Atomic.compare_and_set q r ((lo' lsl steal_shift) lor hi) then begin
-          run_chunk w lo lo';
-          take ()
-        end
-        else take ()
-    and steal tries =
-      if tries >= d - 1 then ()
-      else
-        let v = (w + 1 + tries) mod d in
-        let q = deques.(v) in
-        let r = Atomic.get q in
-        let lo = r lsr steal_shift and hi = r land steal_mask in
-        (* a single remaining unit is left to its owner: stealing it would
-           only move the tail, not expose parallelism *)
-        if hi - lo <= 1 then steal (tries + 1)
-        else
-          let mid = (lo + hi + 1) / 2 in
-          if Atomic.compare_and_set q r ((lo lsl steal_shift) lor mid)
-          then begin
-            Atomic.incr stolen;
-            Atomic.set deques.(w) ((mid lsl steal_shift) lor hi);
-            take ()
-          end
-          else steal tries
-    in
-    take ()
-  in
-  launch body;
-  Atomic.get stolen
-
 (* ------------------------------------------------------------------ *)
 (* Fallback reasons                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -552,11 +540,6 @@ let total_fallback_runs = Atomic.make 0
 let total_tiled_runs = Atomic.make 0
 let total_reasons =
   Array.init (Array.length reason_labels) (fun _ -> Atomic.make 0)
-
-(* Steal transfers across all work-stealing parallel runs since [reset];
-   the parallel bench prints it and bench_trend surfaces the totals. *)
-let total_stolen_chunks = Atomic.make 0
-let stolen_chunks () = Atomic.get total_stolen_chunks
 
 (* ------------------------------------------------------------------ *)
 (* Fusion peephole gate                                                 *)
@@ -1255,15 +1238,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
             Some (Analysis.loop_disjointness for_var body)
         | _ -> None
       in
-      (* Scheduler choice is also a compile-time property of the original
-         body: skewed per-iteration costs (data-dependent inner extents) or
-         gather witnesses (pseudo-row splits bucket unevenly) select the
-         work-stealing deques over the fixed-grain cursor. *)
-      let skew_hint =
-        match disjoint with
-        | Some (Analysis.Par _) -> Analysis.loop_skew_hint for_var body
-        | _ -> false
-      in
       (* Fusion peephole (DESIGN.md §3e): rewrite the body so per-iteration
          index arithmetic becomes slot reads.  Loop-invariant expressions
          are evaluated by a prologue once per loop entry (hoisting); indices
@@ -1366,7 +1340,7 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
       let nlin = Array.length lin_c in
       (* chunk runner: re-seeds every running offset at the chunk start, so
          the same closure serves the serial loop (one chunk [0,n)) and the
-         atomic-cursor parallel chunks *)
+         scheduler's parallel chunks *)
       let iterate fbody =
         if nlin = 0 then
           fun st lo hi ->
@@ -1394,12 +1368,12 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           (* iterations provably write disjoint buffer regions: spread them
              across domains, each running the same compiled body against
              its own state replica.  Work is handed out in contiguous
-             chunks through an atomic cursor so uneven iteration costs
-             (e.g. power-law row lengths) balance dynamically.  The
-             decision to actually go parallel is made per run, from the
-             current [num_domains].  The prologue runs on the root state
-             BEFORE cloning, so hoisted slots propagate into every
-             per-domain replica. *)
+             chunks by the work-stealing scheduler ([run_stealing]) so
+             uneven iteration costs (e.g. power-law row lengths) balance
+             dynamically.  The decision to actually go parallel is made
+             per run, from the current [num_domains].  The prologue runs
+             on the root state BEFORE cloning, so hoisted slots propagate
+             into every per-domain replica. *)
           (* Gather witnesses name the map buffers whose runtime facts
              (Tensor.Facts) decide per run whether the scatter is safe;
              direct dimension-0 witnesses are candidates for per-domain
@@ -1435,7 +1409,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           (* per-site persistent runtime: replicas, logs and strip copies
              survive across runs of this artifact (DESIGN.md §3d) *)
           let pcache = make_par_cache () in
-          let steal = skew_hint || gathers <> [] in
           fun st ->
             let n = iget ext st in
             run_prologue st;
@@ -1508,11 +1481,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                     1 narrow
                 in
                 let grain = chunk_grain ~n ~domains:d ~align in
-                let bounds =
-                  match !monotone with
-                  | [] -> None
-                  | maps -> Some (aligned_bounds ~n ~grain maps)
-                in
                 let strips =
                   List.filter (fun (_, _, _, nm) -> nm <= strip_numel_cap)
                     narrow
@@ -1596,77 +1564,32 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                           strips
                       done
                     end;
-                    let launch body =
-                      match lease with
-                      | Some l ->
-                          Pool.run_on (Array.sub l.l_workers 0 (d - 1)) body
-                      | None -> Pool.run_group d body
+                    (* scheduler units: monotone-gather segments, so every
+                       cut keeps an output row on one domain; otherwise
+                       align-multiples (a larger multiple when n / align
+                       would overflow a deque), so every cut keeps narrow
+                       outputs cache-line aligned *)
+                    let units, grain_u, cut =
+                      match !monotone with
+                      | [] ->
+                          let span =
+                            align
+                            * ((((n + align - 1) / align) + steal_max_units - 1)
+                              / steal_max_units)
+                          in
+                          ( (n + span - 1) / span,
+                            max 1 (grain / span),
+                            fun k -> min n (k * span) )
+                      | maps ->
+                          let b = aligned_bounds ~n ~grain maps in
+                          (Array.length b - 1, 1, Array.get b)
                     in
-                    (match bounds with
-                    | Some b when steal ->
-                        (* monotone-gather segments as steal units: every
-                           cut stays on a segment boundary *)
-                        let segs = Array.length b - 1 in
-                        let run_chunk w k0 k1 =
-                          let lo = b.(k0) and hi = b.(k1) in
-                          if log_chunks && w > 0 then
-                            logs.(w) <- (lo, hi) :: logs.(w);
-                          iter states.(w) lo hi
-                        in
-                        let s =
-                          run_stealing ~units:segs ~grain_u:1 ~d ~run_chunk
-                            ~launch
-                        in
-                        if s > 0 then
-                          ignore
-                            (Atomic.fetch_and_add total_stolen_chunks s : int)
-                    | None when steal && n <= steal_max_units * align ->
-                        (* align-multiples as steal units, so every cut
-                           keeps narrow outputs cache-line aligned *)
-                        let units = (n + align - 1) / align in
-                        let grain_u = max 1 (grain / align) in
-                        let run_chunk w u0 u1 =
-                          let lo = u0 * align and hi = min n (u1 * align) in
-                          if log_chunks && w > 0 then
-                            logs.(w) <- (lo, hi) :: logs.(w);
-                          iter states.(w) lo hi
-                        in
-                        let s =
-                          run_stealing ~units ~grain_u ~d ~run_chunk ~launch
-                        in
-                        if s > 0 then
-                          ignore
-                            (Atomic.fetch_and_add total_stolen_chunks s : int)
-                    | bounds ->
-                        (* uniform-cost loops keep the cheaper cursor *)
-                        let next =
-                          match bounds with
-                          | None ->
-                              let cursor = Atomic.make 0 in
-                              fun () ->
-                                let s = Atomic.fetch_and_add cursor grain in
-                                if s >= n then None
-                                else Some (s, min n (s + grain))
-                          | Some b ->
-                              let cursor = Atomic.make 0 in
-                              let segs = Array.length b - 1 in
-                              fun () ->
-                                let k = Atomic.fetch_and_add cursor 1 in
-                                if k >= segs then None
-                                else Some (b.(k), b.(k + 1))
-                        in
-                        launch (fun w ->
-                            let stw = states.(w) in
-                            let rec pull () =
-                              match next () with
-                              | None -> ()
-                              | Some (lo, hi) ->
-                                  if log_chunks && w > 0 then
-                                    logs.(w) <- (lo, hi) :: logs.(w);
-                                  iter stw lo hi;
-                                  pull ()
-                            in
-                            pull ()));
+                    run_stealing ~lease ~d ~units ~grain_u
+                      ~run_chunk:(fun w k0 k1 ->
+                        let lo = cut k0 and hi = cut k1 in
+                        if log_chunks && w > 0 then
+                          logs.(w) <- (lo, hi) :: logs.(w);
+                        iter states.(w) lo hi);
                     (* stitch: copy each worker's chunk regions back into
                        the shared outputs (regions are disjoint across
                        workers by the witness, so order does not matter) *)

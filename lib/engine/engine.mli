@@ -107,16 +107,16 @@ val reason_totals : unit -> (string * int) list
     earn a [Par] verdict from {!Tir.Analysis.loop_disjointness} run their
     iterations across a fixed pool of OCaml domains: each domain gets a
     private copy of the slot arrays (tensors stay shared — the witnesses
-    guarantee write regions are disjoint) and pulls contiguous iteration
-    chunks from a scheduler.  Uniform-cost loops use an atomic cursor
-    ({!chunk_grain} iterations each); loops with skewed per-iteration
-    costs ({!Tir.Analysis.loop_skew_hint}, or any gather witness) use
-    work-stealing chunk deques — each worker owns a contiguous range,
-    pops grain-sized chunks off its low end, and steals the upper half of
-    another worker's range when its own runs dry.  Steal cuts land only
-    on boundaries the cursor could have produced (align multiples or
-    monotone-map segments), and chunks are logged by whichever worker ran
-    them, so outputs stay bit-identical to serial execution.
+    guarantee write regions are disjoint) and runs contiguous iteration
+    chunks handed out by one work-stealing scheduler: each worker owns a
+    contiguous range of units, takes {!chunk_grain}-sized chunks off its
+    low end, and steals the upper half of another worker's range when its
+    own runs dry, so uneven per-iteration costs (variable-nnz rows, hyb
+    buckets) balance at run time.  Units are cache-line-aligned iteration
+    multiples, or monotone-map segments for non-decreasing gathers, so
+    every cut lands on a boundary the output tiling allows; chunks are
+    logged by whichever worker ran them, so outputs stay bit-identical to
+    serial execution.
 
     The runtime is persistent per artifact: replica states, chunk logs and
     narrow-output strip copies are cached on each parallel loop site and
@@ -144,11 +144,12 @@ val reason_totals : unit -> (string * int) list
     per run, so memoized artifacts remain valid when the knob changes. *)
 
 val chunk_grain : n:int -> domains:int -> align:int -> int
-(** Iterations per atomic-cursor chunk for an [n]-iteration loop across
-    [domains] domains: ceil(n / (4 * domains)) — at most [4 * domains]
-    chunks, never a degenerate 1-iteration flood at small [n] — rounded up
-    to a multiple of [align] and capped at one aligned per-domain share.
-    Always at least [max 1 align]. *)
+(** Iterations per chunk a worker takes for an [n]-iteration loop across
+    [domains] domains (also the length monotone-gather segments are cut
+    at): ceil(n / (4 * domains)) — at most [4 * domains] chunks, never a
+    degenerate 1-iteration flood at small [n] — rounded up to a multiple
+    of [align] and capped at one aligned per-domain share.  Always at least
+    [max 1 align]. *)
 
 val num_domains : unit -> int
 (** Current domain budget for parallel loops; [1] disables parallelism.
@@ -172,8 +173,9 @@ val replica_builds : unit -> int
     drivers race for one artifact's cache. *)
 
 val stolen_chunks : unit -> int
-(** Steal transfers performed by the work-stealing scheduler since the last
-    {!reset} (0 when every loop used the cursor or no parallelism ran). *)
+(** Steal transfers performed by the chunk scheduler since the last
+    {!reset}, across parallel loops and {!parallel_tasks} (0 when no
+    worker ran dry before the others or no parallelism ran). *)
 
 (** {1 Parallel construction tasks}
 
@@ -187,15 +189,19 @@ val stolen_chunks : unit -> int
 
 val parallel_tasks : int -> (int -> unit) -> unit
 (** [parallel_tasks k f] runs [f 0 .. f (k-1)] to completion, spread over
-    the current domain budget via an atomic cursor.  Tasks must be
+    the current domain budget as [k] one-task units of the same
+    work-stealing scheduler the parallel loops use.  Tasks must be
     independent; no ordering is guaranteed between them.  The first
-    exception any task raises is re-raised after all tasks finish.  Runs
-    serially when the budget is 1 or when called from inside a task. *)
+    exception any task raises is re-raised once every domain has left the
+    call; tasks not yet started by then may be skipped.  Runs serially,
+    inline, when the budget or [k] is at most 1 or when called from inside
+    a task. *)
 
 val parallel_width : unit -> int
 (** The domain budget a {!parallel_tasks} call on this domain would spread
     over: the lease width for leased drivers, {!num_domains} otherwise, and
-    [1] inside a task body.  Lets construction code size its fan-out (and
+    [1] inside the tasks of a call that spread (tasks run inline keep the
+    caller's width).  Lets construction code size its fan-out (and
     skip slicing work that would not parallelize). *)
 
 (** {1 Domain leases}

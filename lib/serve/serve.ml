@@ -495,11 +495,13 @@ let run_inline (t : t) (reqs : request list) : unit =
   t.t_last <- (if Float.is_nan t.t_last then tdone else max t.t_last tdone);
   retire t reqs
 
-(* Retire finished batches; returns whether any retired.  A driver failure
-   re-raises on the draining domain after its lease is released. *)
+(* Retire finished batches; returns whether any retired.  Every finished
+   batch is joined, released and retired first; then the first driver
+   failure among them re-raises on the draining domain. *)
 let reap (t : t) : bool =
   let fin, still = List.partition (fun i -> Atomic.get i.in_done) t.inflight in
   t.inflight <- still;
+  let failure = ref None in
   List.iter
     (fun i ->
       Domain.join i.in_domain;
@@ -510,8 +512,9 @@ let reap (t : t) : bool =
             (if Float.is_nan t.t_last then r.rq_done else max t.t_last r.rq_done))
         i.in_reqs;
       retire t i.in_reqs;
-      match Atomic.get i.in_fail with Some e -> raise e | None -> ())
+      if Option.is_none !failure then failure := Atomic.get i.in_fail)
     fin;
+  Option.iter raise !failure;
   fin <> []
 
 (* Admit at most one batch; returns whether one launched. *)

@@ -841,77 +841,3 @@ let loop_disjointness (x : var) (body : stmt) : verdict =
       written;
     Par !out
   with Not_disjoint r -> Serial r
-
-(* Boolean view, preserved for callers that only need the unconditional
-   answer: gather witnesses depend on runtime tensor facts, so only
-   all-direct verdicts count as true here. *)
-let loop_writes_disjoint (x : var) (body : stmt) : bool =
-  match loop_disjointness x body with
-  | Par ws ->
-      List.for_all
-        (fun (_, w) -> match w with W_direct _ -> true | W_gather _ -> false)
-        ws
-  | Serial _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Iteration-cost skew                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A thread-bound loop has visibly non-uniform per-iteration cost when its
-   body contains an inner loop whose extent is data-dependent on the
-   iteration: an extent that loads a buffer (or bounds a binary search) at
-   an index mentioning the loop variable — directly or through a chain of
-   let/block bindings — e.g. the [indptr[x+1] - indptr[x]] trip counts of
-   variable-nnz CSR rows, or hyb bucket sizes.  The executor uses this
-   purely structural hint to pick the work-stealing scheduler over the
-   fixed-grain cursor; no interval reasoning or buffer contents involved,
-   so a false positive merely costs a slightly more expensive dispatch. *)
-let loop_skew_hint (x : var) (body : stmt) : bool =
-  let tainted = ref (Int_set.singleton x.vid) in
-  let expr_tainted e =
-    List.exists
-      (fun (v : var) -> Int_set.mem v.vid !tainted)
-      (free_vars_expr e)
-  in
-  let extent_data_dependent e =
-    let found = ref false in
-    iter_expr
-      (fun sub ->
-        match sub with
-        | Load (_, idx) when List.exists expr_tainted idx -> found := true
-        | Bsearch bs
-          when List.exists expr_tainted [ bs.bs_lo; bs.bs_hi; bs.bs_v ] ->
-            found := true
-        | _ -> ())
-      e;
-    !found
-  in
-  let skew = ref false in
-  let rec go (s : stmt) : unit =
-    match s with
-    | Let_stmt (v, value, b) ->
-        if expr_tainted value then tainted := Int_set.add v.vid !tainted;
-        go b
-    | For fo ->
-        if extent_data_dependent fo.extent then skew := true;
-        go fo.body
-    | Block_stmt blk ->
-        List.iter
-          (fun (bi : block_iter) ->
-            if expr_tainted bi.bi_bind then
-              tainted := Int_set.add bi.bi_var.vid !tainted)
-          blk.blk_iters;
-        Option.iter go blk.blk_init;
-        go blk.blk_body
-    | Seq ss -> List.iter go ss
-    | If (_, t, f) ->
-        go t;
-        Option.iter go f
-    | Alloc (_, b) -> go b
-    | Sp_iter_stmt sp ->
-        Option.iter go sp.sp_init;
-        go sp.sp_body
-    | Store _ | Eval _ | Mma_sync _ -> ()
-  in
-  go body;
-  !skew

@@ -132,17 +132,3 @@ val loop_disjointness : Ir.var -> Ir.stmt -> verdict
     loads included, must agree on the witness.  [Serial] carries the first
     failure's reason and is always safe (the executor falls back to serial
     execution). *)
-
-val loop_writes_disjoint : Ir.var -> Ir.stmt -> bool
-(** Boolean view of {!loop_disjointness}: true only for [Par] verdicts whose
-    witnesses are all [W_direct] (gather witnesses additionally depend on
-    runtime tensor facts). *)
-
-val loop_skew_hint : Ir.var -> Ir.stmt -> bool
-(** [loop_skew_hint x body] is true when [body] contains an inner loop whose
-    extent is data-dependent on the iteration over [x] — the extent loads a
-    buffer (or bounds a binary search) at an index mentioning [x], directly
-    or through let/block bindings.  Such loops (variable-nnz CSR rows, hyb
-    buckets) have skewed per-iteration costs; the engine picks its
-    work-stealing scheduler over the fixed-grain cursor on this purely
-    structural hint, so false positives are harmless. *)

@@ -569,32 +569,114 @@ let test_format_facts_no_scan () =
 
 (* Narrow accumulator (one f32 per iteration, far below a cache line): the
    executor must give each domain a private write strip and stitch the
-   chunks back bit-identically. *)
+   chunks back bit-identically.  Extents run from a single iteration (never
+   parallel) through loops with fewer 16-iteration cache-line units than
+   domains up to many units per domain. *)
 let test_narrow_output_strips () =
   let open Tir in
   let open Builder in
-  let n = 256 in
-  let a_buf = buffer ~dtype:Dtype.F32 "A" [ int n ] in
-  let c_buf = buffer ~dtype:Dtype.F32 "C" [ int n ] in
-  let fn =
-    func "eng_narrow_strips" [ a_buf; c_buf ]
-      (for_ ~kind:(Ir.Thread_bind Ir.Block_x) "i" (int n) (fun i ->
-           store c_buf [ i ] (load c_buf [ i ] +: load a_buf [ i ])))
-  in
-  let a = Tensor.of_float_array [ n ] (Array.init n float_of_int) in
-  let seed = Array.init n (fun i -> float_of_int (i * 7 mod 13)) in
-  let run nd =
-    let c = Tensor.of_float_array [ n ] (Array.copy seed) in
-    Engine.execute ~kind:Engine.Compiled ~num_domains:nd fn [ a; c ];
-    Tensor.to_float_array c
-  in
-  let serial = run 1 in
-  let parallel = run 4 in
-  let art = Engine.artifact fn in
-  Alcotest.(check bool) "strips engaged" true (Engine.tiled_runs art >= 1);
-  Alcotest.(check int) "no fallback" 0 (Engine.fallback_runs art);
-  Alcotest.(check bool) "stitched result bit-identical" true
-    (serial = parallel)
+  List.iter
+    (fun n ->
+      let a_buf = buffer ~dtype:Dtype.F32 "A" [ int n ] in
+      let c_buf = buffer ~dtype:Dtype.F32 "C" [ int n ] in
+      let fn =
+        func
+          (Printf.sprintf "eng_narrow_strips_%d" n)
+          [ a_buf; c_buf ]
+          (for_ ~kind:(Ir.Thread_bind Ir.Block_x) "i" (int n) (fun i ->
+               store c_buf [ i ] (load c_buf [ i ] +: load a_buf [ i ])))
+      in
+      let a = Tensor.of_float_array [ n ] (Array.init n float_of_int) in
+      let seed = Array.init n (fun i -> float_of_int (i * 7 mod 13)) in
+      let run nd =
+        let c = Tensor.of_float_array [ n ] (Array.copy seed) in
+        Engine.execute ~kind:Engine.Compiled ~num_domains:nd fn [ a; c ];
+        Tensor.to_float_array c
+      in
+      let serial = run 1 in
+      List.iter
+        (fun nd ->
+          let label = Printf.sprintf "n=%d d=%d" n nd in
+          let art = Engine.artifact fn in
+          let tiled0 = Engine.tiled_runs art in
+          let parallel = run nd in
+          Alcotest.(check bool)
+            (label ^ ": strips engaged iff parallel")
+            (n > 1)
+            (Engine.tiled_runs art > tiled0);
+          Alcotest.(check int) (label ^ ": no fallback") 0
+            (Engine.fallback_runs art);
+          Alcotest.(check bool)
+            (label ^ ": stitched result bit-identical")
+            true (serial = parallel))
+        [ 2; 4 ])
+    [ 1; 3; 5; 17; 256 ]
+
+(* Construction tasks on the chunk scheduler: every index runs exactly once
+   at every width, unleased or under a lease, a task of a call that spread
+   sees width 1 (inline calls keep the caller's width), a raising task
+   re-raises only once every task that started has finished, and the pool
+   and lease books are intact for the next call. *)
+let test_parallel_tasks () =
+  let saved = Engine.num_domains () in
+  Fun.protect ~finally:(fun () -> Engine.set_num_domains saved) @@ fun () ->
+  List.iter
+    (fun nd ->
+      Engine.set_num_domains nd;
+      let leases = Engine.leases_in_use () in
+      let once ?(width = nd) label k =
+        let hits = Array.init k (fun _ -> Atomic.make 0) in
+        let widths = Array.make k 0 in
+        Engine.parallel_tasks k (fun i ->
+            Atomic.incr hits.(i);
+            widths.(i) <- Engine.parallel_width ());
+        let inner = if min width k > 1 then 1 else width in
+        Array.iteri
+          (fun i h ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s d=%d k=%d: task %d ran once" label nd k i)
+              1 (Atomic.get h);
+            Alcotest.(check int)
+              (Printf.sprintf "%s d=%d k=%d: task %d width" label nd k i)
+              inner widths.(i))
+          hits
+      in
+      List.iter (once "first") [ 0; 1; 3; 7; 64 ];
+      (* a leased caller spreads over its lease only *)
+      let width = min 2 nd in
+      let l = Option.get (Engine.try_lease ~width) in
+      Fun.protect
+        ~finally:(fun () -> Engine.release l)
+        (fun () ->
+          Engine.run_leased l (fun () ->
+              Alcotest.(check int) "leased width" width
+                (Engine.parallel_width ());
+              List.iter (once ~width "leased") [ 1; 7; 64 ]));
+      let started = Atomic.make 0 and finished = Atomic.make 0 in
+      (match
+         Engine.parallel_tasks 7 (fun i ->
+             Atomic.incr started;
+             if i = 3 then failwith "task 3";
+             for _ = 1 to 20_000 do
+               Domain.cpu_relax ()
+             done;
+             Atomic.incr finished)
+       with
+      | () -> Alcotest.failf "d=%d: raising task did not re-raise" nd
+      | exception Failure m ->
+          Alcotest.(check string) "the task's exception" "task 3" m);
+      Alcotest.(check int)
+        (Printf.sprintf "d=%d: every started task finished before the raise"
+           nd)
+        (Atomic.get started - 1) (Atomic.get finished);
+      Alcotest.(check int)
+        (Printf.sprintf "d=%d: caller's width restored" nd)
+        nd (Engine.parallel_width ());
+      once "after a raise" 64;
+      Alcotest.(check int)
+        (Printf.sprintf "d=%d: leases unchanged" nd)
+        leases (Engine.leases_in_use ()))
+    [ 1; 2; 4 ]
 
 (* Persistent parallel runtime: once an artifact has run at a domain count,
    repeated executes reuse its cached replica states (zero rebuilds); a
@@ -1078,6 +1160,8 @@ let () =
             test_hyb_parallel_no_fallback;
           Alcotest.test_case "narrow output strips stitch exactly" `Quick
             test_narrow_output_strips;
+          Alcotest.test_case "parallel tasks run each index once" `Quick
+            test_parallel_tasks;
           Alcotest.test_case "declared format facts: no scans, no fallback"
             `Quick test_format_facts_no_scan;
           Alcotest.test_case "replica cache: reuse and invalidation" `Quick

@@ -83,6 +83,55 @@ let test_lease_accounting () =
         (Invalid_argument "Engine.run_leased: released lease") (fun () ->
           Engine.run_leased l1 (fun () -> ())))
 
+(* Two batches whose drivers both raise, finishing before one [pump]: the
+   pump re-raises, and only after joining, releasing and retiring both —
+   no lease left in use, every request retired, nothing inflight. *)
+let test_reap_failures_release_all () =
+  let open Tir in
+  let open Builder in
+  with_domains 2 (fun () ->
+      let a_buf = buffer ~dtype:Dtype.F32 "A" [ int 2 ] in
+      let fn =
+        func "serve_raising" [ a_buf ] (store a_buf [ int 2 ] (float 1.0))
+      in
+      let cfg =
+        { Serve.max_batch = 1; deadline_ms = 0.0; lease_width = 1;
+          max_inflight = 2 }
+      in
+      let s = Serve.create ~config:cfg () in
+      let leases = Engine.leases_in_use () in
+      let reqs =
+        List.map
+          (fun tenant ->
+            Serve.submit s ~tenant
+              [ (fn, [ ("A", Tensor.create Dtype.F32 [ 2 ]) ]) ])
+          [ "fail_a"; "fail_b" ]
+      in
+      Serve.pump s;
+      Alcotest.(check int) "both batches launched" 2
+        (List.length s.Serve.inflight);
+      while
+        not
+          (List.for_all
+             (fun (i : Serve.inflight) -> Atomic.get i.Serve.in_done)
+             s.Serve.inflight)
+      do
+        Domain.cpu_relax ()
+      done;
+      Alcotest.(check bool) "pump re-raises the driver failure" true
+        (match Serve.pump s with () -> false | exception _ -> true);
+      Alcotest.(check int) "no lease left in use" leases
+        (Engine.leases_in_use ());
+      Alcotest.(check int) "nothing inflight" 0
+        (List.length s.Serve.inflight);
+      List.iter
+        (fun (r : Serve.request) ->
+          Alcotest.(check bool)
+            (r.Serve.rq_tenant ^ " retired")
+            true
+            (List.memq r s.Serve.completed))
+        reqs)
+
 (* ---------------- served = sequential (QCheck) ---------------- *)
 
 (* One served window: submit [requests] mixed-tenant instances in a
@@ -239,8 +288,9 @@ let () =
           Alcotest.test_case "single copy is identity" `Quick
             test_batch_func_single_copy_is_identity ] );
       ( "leases",
-        [ Alcotest.test_case "lease accounting" `Quick test_lease_accounting ]
-      );
+        [ Alcotest.test_case "lease accounting" `Quick test_lease_accounting;
+          Alcotest.test_case "failed batches release every lease" `Quick
+            test_reap_failures_release_all ] );
       ( "scheduling",
         [ QCheck_alcotest.to_alcotest qcheck_serve_sequential;
           QCheck_alcotest.to_alcotest qcheck_serve_under_eviction;
