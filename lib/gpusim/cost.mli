@@ -2,41 +2,18 @@
     evaluating integer control flow against the real buffer contents,
     classifying memory accesses by per-lane stride, driving the L1/L2 cache
     simulators and accounting CUDA-core / tensor-core / shared-memory
-    throughput.  See the implementation header and DESIGN.md S2 for the
-    modeling decisions. *)
+    throughput.  Each run resolves the function once to dense variable and
+    buffer slots, then walks it without hashing or allocating per IR node.
+    See the implementation header and DESIGN.md S2 and S3j for the modeling
+    decisions. *)
 
 open Tir
-open Tir.Ir
 
 exception Cost_error of string
 
 val err : ('a, unit, string, 'b) format4 -> 'a
 
-(** {1 Lane-symbolic integer values} *)
-
-type lane_dep =
-  | Uniform            (** same value on every lane *)
-  | Linear of int      (** value = v0 + coeff * lane *)
-  | Divergent          (** unknown per-lane variation (gather) *)
-
-type sval = { v0 : int; dep : lane_dep }
-
-val uni : int -> sval
-val is_uniform : lane_dep -> bool
-
-(** {1 Accumulators} *)
-
-type space = Sp_global | Sp_shared | Sp_register
-
-type req = {
-  rq_space : space;
-  rq_base : int;
-  rq_lane_stride : int;
-  rq_gather : bool;
-  rq_bytes : int;
-  rq_store : bool;
-}
-
+(** Charges accumulated by a warp, a block or a whole kernel. *)
 type wacc = {
   mutable a_insts : float;
   mutable a_l1 : float;
@@ -49,53 +26,36 @@ type wacc = {
 }
 
 val wacc_zero : unit -> wacc
-val wacc_add : wacc -> wacc -> scale:float -> unit
 
-val mlp_factor : float
-(** Memory-level parallelism divisor applied to the warp critical path. *)
-
-val wacc_latency : Spec.t -> wacc -> float
-
-(** {1 Context} *)
-
-type binding = { bd_sv : sval; bd_def : expr option }
-
-type buf_info = {
-  bi_tensor : Tensor.t option;
-  bi_base : int;
-  bi_space : space;
-  bi_dsize : int;
+(** Per-SM totals for throughput aggregation. *)
+type sm_tot = {
+  mutable s_insts : float;
+  mutable s_l1 : float;
+  mutable s_smem : float;
+  mutable s_tc : float;
+  mutable s_blocks : int;
 }
 
-type ctx = {
-  spec : Spec.t;
-  l2 : Cache.t;
-  l1s : Cache.t array;
-  mutable sm : int;
-  vars : (int, binding) Hashtbl.t;
-  bufs : (int, buf_info) Hashtbl.t;
-  mutable lane_var : int;
-  mutable warp_base : int;
-  mutable active : int;
-  mutable acc : wacc;
-  mutable probe : (req list ref * float ref) option;
-  mutable next_addr : int;
-  mutable next_smem : int;
-  mutable total_flops : float;
-  mutable in_index : bool;
-}
+type t
+(** The walker of one run: the function resolved to slots, its parameters
+    registered, fresh L1/L2 simulators. *)
 
-val no_lane : int
-val make_ctx : Spec.t -> ctx
-val register_buffer : ctx -> buffer -> Tensor.t option -> numel:int -> unit
-val buf_info_exn : ctx -> buffer -> buf_info
+type kernel
+(** One top-level statement of the function, launched as one kernel. *)
 
-type blk_state = {
-  warps : (int * int * int, wacc) Hashtbl.t;
-  mutable cur_ty : int;
-  mutable cur_tz : int;
-  mutable smem_high : int;
-}
+val create : Spec.t -> Ir.func -> Tensor.t list -> t
+(** [create spec fn tensors] binds [fn]'s parameters, in order, to
+    [tensors]. *)
 
-val warp_acc : blk_state -> int * int * int -> wacc
-val walk_stmt : ctx -> blk_state -> stmt -> unit
+val kernels : t -> kernel list
+
+val run_kernel :
+  t -> kernel -> block_ordinal:int ref -> sm_tot array ->
+  max_critical:float ref -> smem_high:int ref -> traffic:wacc -> unit
+(** Walk every block of the kernel (sampling large uniform grids), adding
+    each block's work to its SM's totals and to [traffic]. *)
+
+val l1s : t -> Cache.t array
+val l2 : t -> Cache.t
+
+val total_flops : t -> float

@@ -35,120 +35,7 @@ let pp_profile (p : profile) : string =
     (p.p_dram_bytes /. 1.0e6) (p.p_flops /. 1.0e6) p.p_launches p.p_blocks
     (float_of_int p.p_memory_bytes /. 1.0e6)
 
-(* per-SM totals for throughput aggregation *)
-type sm_tot = {
-  mutable s_insts : float;
-  mutable s_l1 : float;
-  mutable s_smem : float;
-  mutable s_tc : float;
-  mutable s_blocks : int;
-}
-
 let block_schedule_cycles = 50.0
-
-(* Split a kernel statement into (grid loops, inner body).  The grid loops
-   are the outermost chain of Block_* bound loops (Alloc/Let may interleave
-   above them). *)
-let peel_grid (st : stmt) : (Ir.var * int * stmt) option =
-  match st with
-  | For { for_var; extent; kind = Thread_bind (Block_x | Block_y | Block_z); body }
-    -> (
-      match Analysis.const_int_opt extent with
-      | Some n -> Some (for_var, n, body)
-      | None -> None)
-  | _ -> None
-
-(* Estimate the cost of one kernel (one top-level statement).  Large grids
-   of blocks are sampled: blocks are walked with a stride and their work is
-   scaled, which preserves per-SM distribution (ordinals keep their original
-   round-robin assignment) while bounding simulation time. *)
-let grid_sample_cap = 1024
-
-let run_kernel (ctx : Cost.ctx) (spec : Spec.t) (st : stmt)
-    ~(block_ordinal : int ref) (sm_tots : sm_tot array)
-    ~(max_critical : float ref) ~(smem_high : int ref)
-    ~(traffic : Cost.wacc) : unit =
-  (* collect the nested grid loops *)
-  let rec grid_dims st acc =
-    match peel_grid st with
-    | Some (x, n, body) -> grid_dims body ((x, n) :: acc)
-    | None -> (List.rev acc, st)
-  in
-  let dims, body = grid_dims st [] in
-  let total = List.fold_left (fun a (_, n) -> a * n) 1 dims in
-  (* Sampling is only sound when every block does the same work AND the
-     address stream is block-local: a data-dependent loop extent (indptr
-     read) means per-block imbalance, and an indirect (gathered) address
-     means cross-block cache reuse — both must be walked exactly. *)
-  let uniform =
-    let ok = ref true in
-    let gather_free (e : Ir.expr) =
-      match e with
-      | Load (_, idx) ->
-          List.iter
-            (fun i ->
-              Analysis.iter_expr
-                (function Load _ | Bsearch _ -> ok := false | _ -> ())
-                i)
-            idx
-      | _ -> ()
-    in
-    Analysis.iter_stmt ~enter_expr:gather_free
-      (function
-        | For { extent; _ } ->
-            Analysis.iter_expr
-              (function Load _ | Bsearch _ -> ok := false | _ -> ())
-              extent
-        | _ -> ())
-      body;
-    !ok
-  in
-  let step = if uniform then max 1 (total / grid_sample_cap) else 1 in
-  let scale = float_of_int step in
-  let g = ref 0 in
-  while !g < total do
-    (* decode the linear block id into per-dim values *)
-    let rem = ref !g in
-    List.iter
-      (fun ((x : Ir.var), n) ->
-        Hashtbl.replace ctx.Cost.vars x.vid
-          Cost.{ bd_sv = Cost.uni (!rem mod n); bd_def = None };
-        rem := !rem / n)
-      (List.rev dims);
-    let bs =
-      Cost.{ warps = Hashtbl.create 8; cur_ty = 0; cur_tz = 0; smem_high = 0 }
-    in
-    let ord = !block_ordinal in
-    block_ordinal := ord + step;
-    let sm = ord mod spec.num_sms in
-    ctx.Cost.sm <- sm;
-    ctx.Cost.next_smem <- 0;
-    ctx.Cost.acc <- Cost.warp_acc bs (0, 0, 0);
-    ctx.Cost.lane_var <- Cost.no_lane;
-    ctx.Cost.active <- 1;
-    Cost.walk_stmt ctx bs body;
-    smem_high := max !smem_high bs.Cost.smem_high;
-    let tot = sm_tots.(sm) in
-    let block_work = Cost.wacc_zero () in
-    Hashtbl.iter (fun _ w -> Cost.wacc_add block_work w ~scale:1.0) bs.Cost.warps;
-    let crit = ref 0.0 in
-    Hashtbl.iter
-      (fun _ w -> crit := Float.max !crit (Cost.wacc_latency spec w))
-      bs.Cost.warps;
-    max_critical := Float.max !max_critical !crit;
-    tot.s_insts <- tot.s_insts +. (scale *. block_work.Cost.a_insts);
-    tot.s_l1 <-
-      tot.s_l1
-      +. (scale
-         *. (block_work.Cost.a_l1 +. block_work.Cost.a_l2
-            +. block_work.Cost.a_dram));
-    tot.s_smem <- tot.s_smem +. (scale *. block_work.Cost.a_smem);
-    tot.s_tc <- tot.s_tc +. (scale *. block_work.Cost.a_tc);
-    tot.s_blocks <- tot.s_blocks + step;
-    Cost.wacc_add traffic block_work ~scale;
-    g := !g + step
-  done;
-  List.iter (fun ((x : Ir.var), _) -> Hashtbl.remove ctx.Cost.vars x.vid) dims
 
 (* Bindings map parameter buffer names to tensors. *)
 type bindings = (string * Tensor.t) list
@@ -163,16 +50,11 @@ let find_binding (bindings : bindings) (b : buffer) : Tensor.t =
    launches into one. *)
 let run ?(horizontal_fusion = false) ?(debug = false) (spec : Spec.t)
     (fn : func) (bindings : bindings) : profile =
-  let ctx = Cost.make_ctx spec in
-  List.iter
-    (fun (b : buffer) ->
-      let t = find_binding bindings b in
-      Cost.register_buffer ctx b (Some t) ~numel:(Tensor.numel t))
-    fn.fn_params;
-  let kernels = match fn.fn_body with Seq l -> l | st -> [ st ] in
+  let w = Cost.create spec fn (List.map (find_binding bindings) fn.fn_params) in
+  let kernels = Cost.kernels w in
   let sm_tots =
     Array.init spec.num_sms (fun _ ->
-        { s_insts = 0.; s_l1 = 0.; s_smem = 0.; s_tc = 0.; s_blocks = 0 })
+        Cost.{ s_insts = 0.; s_l1 = 0.; s_smem = 0.; s_tc = 0.; s_blocks = 0 })
   in
   let block_ordinal = ref 0 in
   let smem_high = ref 0 in
@@ -181,7 +63,7 @@ let run ?(horizontal_fusion = false) ?(debug = false) (spec : Spec.t)
   let traffic = Cost.wacc_zero () in
   let sm_time () =
     Array.fold_left
-      (fun acc (t : sm_tot) ->
+      (fun acc (t : Cost.sm_tot) ->
         let time =
           Float.max
             (t.s_insts /. spec.warp_issue_per_cycle)
@@ -194,7 +76,7 @@ let run ?(horizontal_fusion = false) ?(debug = false) (spec : Spec.t)
   in
   let reset_tots () =
     Array.iter
-      (fun t ->
+      (fun (t : Cost.sm_tot) ->
         t.s_insts <- 0.; t.s_l1 <- 0.; t.s_smem <- 0.; t.s_tc <- 0.;
         t.s_blocks <- 0)
       sm_tots
@@ -203,8 +85,8 @@ let run ?(horizontal_fusion = false) ?(debug = false) (spec : Spec.t)
     (* one launch: blocks of every kernel fill the device concurrently *)
     let max_critical = ref 0.0 in
     List.iter
-      (fun st ->
-        run_kernel ctx spec st ~block_ordinal sm_tots ~max_critical ~smem_high
+      (fun k ->
+        Cost.run_kernel w k ~block_ordinal sm_tots ~max_critical ~smem_high
           ~traffic)
       kernels;
     kernel_cycles := Float.max (sm_time ()) !max_critical;
@@ -215,10 +97,10 @@ let run ?(horizontal_fusion = false) ?(debug = false) (spec : Spec.t)
   end
   else
     List.iter
-      (fun st ->
+      (fun k ->
         reset_tots ();
         let max_critical = ref 0.0 in
-        run_kernel ctx spec st ~block_ordinal sm_tots ~max_critical ~smem_high
+        Cost.run_kernel w k ~block_ordinal sm_tots ~max_critical ~smem_high
           ~traffic;
         let t = sm_time () in
         if debug then
@@ -229,10 +111,11 @@ let run ?(horizontal_fusion = false) ?(debug = false) (spec : Spec.t)
       kernels;
   (* hit rates from the cache simulators; traffic volumes from the (sampled,
      scaled) per-block accumulation *)
-  let l2_hits = ctx.Cost.l2.Cache.hits and l2_misses = ctx.Cost.l2.Cache.misses in
-  let l1_hits = Array.fold_left (fun a c -> a + c.Cache.hits) 0 ctx.Cost.l1s in
+  let l2 = Cost.l2 w in
+  let l2_hits = l2.Cache.hits and l2_misses = l2.Cache.misses in
+  let l1_hits = Array.fold_left (fun a c -> a + c.Cache.hits) 0 (Cost.l1s w) in
   let l1_misses =
-    Array.fold_left (fun a c -> a + c.Cache.misses) 0 ctx.Cost.l1s
+    Array.fold_left (fun a c -> a + c.Cache.misses) 0 (Cost.l1s w)
   in
   let total_l2_txns = traffic.Cost.a_l2 +. traffic.Cost.a_dram in
   let total_dram_bytes = traffic.Cost.a_dram_bytes in
@@ -254,7 +137,7 @@ let run ?(horizontal_fusion = false) ?(debug = false) (spec : Spec.t)
       (let t = l2_hits + l2_misses in
        if t = 0 then 1.0 else float_of_int l2_hits /. float_of_int t);
     p_dram_bytes = total_dram_bytes;
-    p_flops = ctx.Cost.total_flops;
+    p_flops = Cost.total_flops w;
     p_launches = (if horizontal_fusion then List.length kernels else !launches);
     p_blocks = !block_ordinal;
     p_memory_bytes = mem_bytes;

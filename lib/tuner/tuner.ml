@@ -47,22 +47,26 @@ let failed_marker = " [failed]"
 let search_measuring (chosen : 'a candidate list) ~(skipped : int) : 'a result =
   match chosen with
   | [] -> invalid_arg "Tuner.search: no candidates"
-  | first :: _ ->
+  | _ ->
       let hits0 = Pipeline.cache_hits () and misses0 = Pipeline.cache_misses () in
+      (* each candidate builds once; the first failure is kept so that an
+         all-failed search can re-raise it *)
+      let first_failure = ref None in
       let evaluated, failures =
         List.fold_left
           (fun (ev, fl) c ->
             match c.build () with
             | p -> ((c, p) :: ev, fl)
-            | exception _ -> (ev, (c.label ^ failed_marker, infinity) :: fl))
+            | exception e ->
+                let bt = Printexc.get_raw_backtrace () in
+                if Option.is_none !first_failure then first_failure := Some (e, bt);
+                (ev, (c.label ^ failed_marker, infinity) :: fl))
           ([], []) chosen
       in
       let evaluated = List.rev evaluated and failures = List.rev failures in
-      let evaluated =
-        match evaluated with
-        | [] -> [ (first, first.build ()) ] (* re-raise the failure *)
-        | l -> l
-      in
+      (match (evaluated, !first_failure) with
+      | [], Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | _ -> ());
       let best_c, best =
         List.fold_left
           (fun ((_, bp) as acc) ((_, p) as cur) ->

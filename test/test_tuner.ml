@@ -187,10 +187,19 @@ let test_failed_candidate_recorded () =
     (List.mem_assoc marked r.Tuner.trials);
   Alcotest.(check bool) "failure carries an infinite time" true
     (List.assoc marked r.Tuner.trials = infinity);
-  (* an all-failing grid surfaces the underlying exception *)
-  Alcotest.check_raises "all-failed search re-raises"
-    (Failure "deliberate compile failure") (fun () ->
-      ignore (Tuner.search [ bad ]))
+  (* an all-failing grid surfaces the first candidate's exception, and
+     builds every candidate exactly once *)
+  let calls = ref [] in
+  let raising label msg =
+    { Tuner.label; config = -1; est = 0.0;
+      build = (fun () -> calls := label :: !calls; failwith msg) }
+  in
+  Alcotest.check_raises "all-failed search re-raises the first failure"
+    (Failure "first failure") (fun () ->
+      ignore
+        (Tuner.search [ raising "a" "first failure"; raising "b" "second failure" ]));
+  Alcotest.(check (list string)) "each candidate built once" [ "a"; "b" ]
+    (List.rev !calls)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule cache                                                      *)
