@@ -1127,18 +1127,24 @@ and walk_mma (ctx : ctx) (m : mma_r) : unit =
 and walk_operand (ctx : ctx) (o : operand) ~(rows : int) ~(cols : int)
     ~(rw : int) : unit =
   let info = buf_info ctx o.op_slot o.op_ir in
-  let origin = Array.map (walk_expr ctx) o.op_origin_r in
+  let origin = o.op_origin_r in
+  let n = Array.length origin in
+  (* one index is the flat offset; several address the bound tensor, and
+     any out of its bounds (or no tensor to bound them) gives offset 0 *)
   let flat0 =
-    if Array.length origin = 1 then origin.(0)
-    else
-      match o.op_tensor with
-      | Some t when Array.length origin = Array.length t.Tensor.shape ->
-          let ok = ref true in
-          Array.iteri
-            (fun d i -> if i < 0 || i >= t.Tensor.shape.(d) then ok := false)
-            origin;
-          if !ok then Tensor.flat_index t origin else 0
-      | _ -> 0
+    if n = 1 then walk_expr ctx origin.(0)
+    else begin
+      let flat = ref 0 and ok = ref true in
+      for d = 0 to n - 1 do
+        let i = walk_expr ctx origin.(d) in
+        match o.op_tensor with
+        | Some t when n = Array.length t.Tensor.shape ->
+            if i < 0 || i >= t.Tensor.shape.(d) then ok := false;
+            flat := (!flat * t.Tensor.shape.(d)) + i
+        | _ -> ok := false
+      done;
+      if !ok then !flat else 0
+    end
   in
   let ld = walk_expr ctx o.op_ld_r in
   match info.bi_space with
