@@ -222,11 +222,12 @@ let run ?(full = false) () =
         (Engine.reasons_to_string reasons);
       speedups := speedup :: !speedups;
       rows :=
-        (c.ck_name, "compiled", compiled_ns, speedup)
-        :: (c.ck_name, "interp", interp_ns, 1.0)
-        :: !rows)
+        !rows
+        @ [ Report.row c.ck_name "interp_ns" "ns/iter" interp_ns;
+            Report.row c.ck_name "compiled_ns" "ns/iter" compiled_ns;
+            Report.row ~gate:Ratio c.ck_name "speedup" "x" speedup ])
     (cases ());
   let geomean_speedup = Report.geomean !speedups in
   Printf.printf "geomean speedup: %.2fx (compiled vs interp)\n" geomean_speedup;
-  Report.write_engine_json ~path:"BENCH_engine.json" ~geomean_speedup
-    (List.rev !rows)
+  Report.write_json ~bench:"engine"
+    (!rows @ [ Report.row "all" "geomean_speedup" "x" geomean_speedup ])

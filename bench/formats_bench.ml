@@ -116,14 +116,15 @@ let run ?(full = false) () =
         desc_ns speedup;
       speedups := speedup :: !speedups;
       rows :=
-        (c.fk_name, "descriptor", desc_ns, speedup)
-        :: (c.fk_name, "legacy", legacy_ns, 1.0)
-        :: !rows)
+        !rows
+        @ [ Report.row c.fk_name "legacy_ns" "ns/iter" legacy_ns;
+            Report.row c.fk_name "descriptor_ns" "ns/iter" desc_ns;
+            Report.row ~gate:Ratio c.fk_name "speedup" "x" speedup ])
     (cases ~full ());
   let geomean_speedup = Report.geomean !speedups in
   Printf.printf
     "geomean descriptor-vs-legacy: %.2fx (below 1x is expected: the generic \
      path pays for the canonical intermediate)\n"
     geomean_speedup;
-  Report.write_formats_json ~path:"BENCH_formats.json" ~geomean_speedup
-    (List.rev !rows)
+  Report.write_json ~bench:"formats"
+    (!rows @ [ Report.row "all" "geomean_speedup" "x" geomean_speedup ])

@@ -32,7 +32,6 @@ let experiments ~full ~domains : (string * (unit -> unit)) list =
     ("engine", fun () -> Engine_bench.run ~full ());
     ("formats", fun () -> Formats_bench.run ~full ());
     ("parallel", fun () -> Parallel_bench.run ~full ~domains ());
-    ("serve", fun () -> Serve_bench.run ~full ());
     ("tuner", fun () -> Tuner_bench.run ~full ());
     ("mutate", fun () -> Mutate_bench.run ~full ()) ]
 
@@ -160,33 +159,44 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
   let no_bechamel = List.mem "--no-bechamel" args in
+  let names = List.map fst (experiments ~full ~domains:0) in
   (* --engine=interp|compiled selects the execution backend for every
      correctness run in the harness (the engine experiment still times both);
      --domains=N sets the engine's domain budget (0 = auto, same convention
      as Engine.set_num_domains — the single clamp) and the parallel bench's
      parallel leg; --fusion=on|off toggles the engine's closure-fusion
      peephole for every compile in the run *)
-  let domains = ref None in
+  let domains = ref None and unknown = ref [] in
   List.iter
     (fun a ->
       match String.index_opt a '=' with
-      | Some i when String.sub a 0 i = "--engine" ->
-          Engine.default_kind :=
-            Engine.kind_of_string (String.sub a (i + 1) (String.length a - i - 1))
-      | Some i when String.sub a 0 i = "--domains" ->
-          domains :=
-            Some (int_of_string (String.sub a (i + 1) (String.length a - i - 1)))
-      | Some i when String.sub a 0 i = "--fusion" -> (
-          match String.sub a (i + 1) (String.length a - i - 1) with
-          | "on" | "true" | "1" -> Engine.set_fusion true
-          | "off" | "false" | "0" -> Engine.set_fusion false
-          | s -> invalid_arg (Printf.sprintf "--fusion=%s (want on|off)" s))
-      | _ -> ())
+      | Some i -> (
+          let v = String.sub a (i + 1) (String.length a - i - 1) in
+          match String.sub a 0 i with
+          | "--engine" -> Engine.default_kind := Engine.kind_of_string v
+          | "--domains" -> domains := Some (int_of_string v)
+          | "--fusion" -> (
+              match v with
+              | "on" | "true" | "1" -> Engine.set_fusion true
+              | "off" | "false" | "0" -> Engine.set_fusion false
+              | s -> invalid_arg (Printf.sprintf "--fusion=%s (want on|off)" s))
+          | _ -> unknown := a :: !unknown)
+      | None ->
+          if not (List.mem a ("--full" :: "--no-bechamel" :: names)) then
+            unknown := a :: !unknown)
     args;
+  if !unknown <> [] then begin
+    Printf.eprintf
+      "bench: unknown argument(s): %s\n\
+       experiments: %s\n\
+       flags: --full --no-bechamel --engine=interp|compiled --domains=N \
+       --fusion=on|off\n"
+      (String.concat " " (List.rev !unknown))
+      (String.concat " " names);
+    exit 2
+  end;
   Option.iter Engine.set_num_domains !domains;
-  let selected =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-  in
+  let selected = List.filter (fun a -> List.mem a names) args in
   let exps = experiments ~full ~domains:(Option.value !domains ~default:0) in
   let to_run =
     if selected = [] then exps

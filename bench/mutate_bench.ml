@@ -137,10 +137,15 @@ let run ?(full = false) () =
          "mutate bench: delta updates only %.2fx faster than cold rebuilds \
           (acceptance bound: ≥ 5x at Δ ≤ 1%% of nnz)"
          geomean_speedup);
-  Report.write_mutate_json ~path:"BENCH_mutate.json" ~delta_pct
-    ~facts_rescans ~span_checks ~geomean_speedup
-    [ ("csr-delta", "mutate", csr_delta_ns, csr_speedup);
-      ("hyb-delta", "mutate", hyb_delta_ns, hyb_speedup);
-      ("csr-cold", "cold", csr_cold_ns, 1.0);
-      ("hyb-cold", "cold", hyb_cold_ns, 1.0);
-      ("spmm-steady", "steady", spmm_ns, 1.0) ]
+  Report.write_json ~bench:"mutate"
+    [ Report.row "csr" "cold_ns" "ns/batch" csr_cold_ns;
+      Report.row "csr" "delta_ns" "ns/batch" csr_delta_ns;
+      Report.row ~gate:Ratio "csr" "speedup" "x" csr_speedup;
+      Report.row "hyb" "cold_ns" "ns/batch" hyb_cold_ns;
+      Report.row "hyb" "delta_ns" "ns/batch" hyb_delta_ns;
+      Report.row ~gate:Ratio "hyb" "speedup" "x" hyb_speedup;
+      Report.row "spmm_live" "steady_ns" "ns/iter" spmm_ns;
+      Report.row "all" "delta_pct" "%" delta_pct;
+      Report.row "all" "facts_rescans" "count" (float_of_int facts_rescans);
+      Report.row "all" "span_checks" "count" (float_of_int span_checks);
+      Report.row "all" "geomean_speedup" "x" geomean_speedup ]

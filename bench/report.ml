@@ -44,165 +44,41 @@ let lookup (s : store) ~row ~system : float =
   | Some t -> t
   | None -> Float.nan
 
-(* Machine-readable engine-bench output, tracked across PRs (the perf
-   trajectory should not live only in stdout).  Rows are
-   (kernel, engine, ns/iter, speedup-vs-interp); written by hand to keep the
-   harness free of JSON dependencies. *)
-let write_engine_json ~(path : string) ~(geomean_speedup : float)
-    (rows : (string * string * float * float) list) : unit =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"engine\",\n";
-  Printf.fprintf oc "  \"geomean_speedup\": %.4f,\n" geomean_speedup;
-  Printf.fprintf oc "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (kernel, engine, ns, speedup) ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"engine\": %S, \"ns_per_iter\": %.1f, \
-         \"speedup\": %.4f}%s\n"
-        kernel engine ns speedup
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+(* One row of a BENCH_<bench>.json file, the shape every legacy bench
+   target writes and tools/bench_trend reads.  A [Ratio] row is a ratio of
+   two legs timed in the same process, so it is comparable across hosts;
+   the trend tool fails it below 70% of the committed baseline.  An [Info]
+   row (absolute walls, counts, geomeans) is printed and never gated. *)
+type gate = Ratio | Info
 
-(* Same shape for the serial-vs-parallel bench; rows are
-   (kernel, mode, ns/iter, speedup-vs-serial). *)
-(* Same shape for the formats bench; rows are
-   (format, mode, ns/iter, speedup-of-descriptor-vs-legacy): the legacy row
-   carries the bespoke builder's time at speedup 1.0, the descriptor row the
-   generic level-driven construction normalized against it. *)
-let write_formats_json ~(path : string) ~(geomean_speedup : float)
-    (rows : (string * string * float * float) list) : unit =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"formats\",\n";
-  Printf.fprintf oc "  \"geomean_speedup\": %.4f,\n" geomean_speedup;
-  Printf.fprintf oc "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (fmt, mode, ns, speedup) ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"mode\": %S, \"ns_per_iter\": %.1f, \
-         \"speedup\": %.4f}%s\n"
-        fmt mode ns speedup
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+type row = {
+  kernel : string;
+  metric : string;
+  unit : string;
+  value : float;
+  gate : gate;
+}
 
-(* Serving-bench output: one row per traffic phase.  The headline metric is
-   steady-state requests/second; "geomean_speedup" carries it so the trend
-   tool's loader stays uniform across bench kinds.  Rows are
-   (phase, req/s, p99 latency ms, mean batch occupancy, warm-hit ratio). *)
-let write_serve_json ~(path : string) ~(domains : int) ~(headline : float)
-    (rows : (string * float * float * float * float) list) : unit =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"serve\",\n";
-  Printf.fprintf oc "  \"domains\": %d,\n" domains;
-  Printf.fprintf oc "  \"geomean_speedup\": %.4f,\n" headline;
-  Printf.fprintf oc "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (phase, rps, p99, occ, warm) ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"mode\": \"serve\", \"req_per_s\": %.1f, \
-         \"p99_ms\": %.3f, \"occupancy\": %.3f, \"warm_ratio\": %.3f}%s\n"
-        phase rps p99 occ warm
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
+let row ?(gate = Info) kernel metric unit value =
+  { kernel; metric; unit; value; gate }
 
-(* Mutation-bench output (DESIGN.md §3i): delta-update cost vs cold format
-   rebuild under a stream of edge-delta batches sized at ≤ 1% of nnz.  The
-   "mutate" rows carry each delta leg's wall (ns per batch) and its speedup
-   against the matching cold-rebuild leg; both legs run in the same process
-   on the same batch stream, so the ratio is host-stable and the trend gate
-   applies unconditionally.  The "cold" and "steady" rows (absolute rebuild
-   wall, post-delta SpMM wall) are informational and never gated.
-   [facts_rescans] counts full-column Facts scans triggered during the
-   mutation loops — the delta path re-verifies touched spans instead of
-   rescanning, so it must stay 0. *)
-let write_mutate_json ~(path : string) ~(delta_pct : float)
-    ~(facts_rescans : int) ~(span_checks : int) ~(geomean_speedup : float)
-    (rows : (string * string * float * float) list) : unit =
+(* Writes BENCH_<bench>.json into the current directory: a JSON array with
+   one row per line, which is all the trend tool parses (this repo has no
+   JSON dependency). *)
+let write_json ~(bench : string) (rows : row list) : unit =
+  let path = Printf.sprintf "BENCH_%s.json" bench in
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"mutate\",\n";
-  Printf.fprintf oc "  \"delta_pct\": %.3f,\n" delta_pct;
-  Printf.fprintf oc "  \"facts_rescans\": %d,\n" facts_rescans;
-  Printf.fprintf oc "  \"span_checks\": %d,\n" span_checks;
-  Printf.fprintf oc "  \"geomean_speedup\": %.4f,\n" geomean_speedup;
-  Printf.fprintf oc "  \"rows\": [\n";
   let n = List.length rows in
+  output_string oc "[\n";
   List.iteri
-    (fun i (kernel, mode, ns, speedup) ->
+    (fun i r ->
       Printf.fprintf oc
-        "    {\"kernel\": %S, \"mode\": %S, \"ns_per_iter\": %.1f, \
-         \"speedup\": %.4f}%s\n"
-        kernel mode ns speedup
+        "  {\"bench\": %S, \"kernel\": %S, \"metric\": %S, \"unit\": %S, \
+         \"value\": %.4f, \"gate\": %S}%s\n"
+        bench r.kernel r.metric r.unit r.value
+        (match r.gate with Ratio -> "ratio" | Info -> "info")
         (if i = n - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-(* Tuner-bench output (DESIGN.md §3j): estimator-guided search vs exhaustive
-   measurement over each kernel family's schedule grid.  Rows are
-   (family, full_wall_ns, guided_wall_ns, measured, grid_size, regret); the
-   row's "speedup" is full-vs-guided search wall — both legs run in the same
-   process with the compile cache reset between them, so the ratio is
-   host-stable and the trend gate applies unconditionally.  "regret" is the
-   guided winner's relative slowdown against the exhaustive winner
-   (0 = same schedule found) and is gated absolutely, not against the
-   baseline.  [warm_measured] is the measurement count of a repeat tuning
-   run over a structurally-similar matrix served from the schedule cache —
-   it must be 0. *)
-let write_tuner_json ~(path : string) ~(warm_hits : int)
-    ~(warm_measured : int) ~(geomean_speedup : float)
-    (rows : (string * float * float * int * int * float) list) : unit =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"tuner\",\n";
-  Printf.fprintf oc "  \"warm_hits\": %d,\n" warm_hits;
-  Printf.fprintf oc "  \"warm_measured\": %d,\n" warm_measured;
-  Printf.fprintf oc "  \"geomean_speedup\": %.4f,\n" geomean_speedup;
-  Printf.fprintf oc "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (family, full_ns, guided_ns, measured, grid, regret) ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"mode\": \"tuner\", \"ns_per_iter\": %.1f, \
-         \"full_ns\": %.1f, \"speedup\": %.4f, \"measured\": %d, \
-         \"grid\": %d, \"regret\": %.4f}%s\n"
-        family guided_ns full_ns
-        (full_ns /. guided_ns)
-        measured grid regret
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-let write_parallel_json ~(path : string) ~(domains : int)
-    ~(stolen_chunks : int) ~(geomean_speedup : float)
-    (rows : (string * string * float * float) list) : unit =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"parallel\",\n";
-  Printf.fprintf oc "  \"domains\": %d,\n" domains;
-  Printf.fprintf oc "  \"stolen_chunks\": %d,\n" stolen_chunks;
-  Printf.fprintf oc "  \"geomean_speedup\": %.4f,\n" geomean_speedup;
-  Printf.fprintf oc "  \"rows\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (kernel, mode, ns, speedup) ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"mode\": %S, \"ns_per_iter\": %.1f, \
-         \"speedup\": %.4f}%s\n"
-        kernel mode ns speedup
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
+  output_string oc "]\n";
   close_out oc;
   Printf.printf "wrote %s\n%!" path

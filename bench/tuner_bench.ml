@@ -31,10 +31,11 @@ let wall_ns (f : unit -> unit) : float =
   f ();
   (Unix.gettimeofday () -. t0) *. 1e9
 
-(* One family's full-vs-guided pair.  [cands] is re-evaluated per leg so
-   estimator construction is paid by both sides. *)
+(* One family's full-vs-guided pair: its search speedup and its rows.
+   [cands] is re-evaluated per leg so estimator construction is paid by
+   both sides. *)
 let leg (type a) (name : string) (cands : unit -> a Tuner.candidate list) :
-    string * float * float * int * int * float =
+    float * Report.row list =
   let grid = List.length (cands ()) in
   Pipeline.reset ();
   let full = ref None in
@@ -70,7 +71,14 @@ let leg (type a) (name : string) (cands : unit -> a Tuner.candidate list) :
          "tuner bench: %s guided leg measured %d of %d candidates (bound \
           50%%)"
          name guided.Tuner.measured grid);
-  (name, full_ns, guided_ns, guided.Tuner.measured, grid, regret)
+  let speedup = full_ns /. guided_ns in
+  ( speedup,
+    [ Report.row name "full_ns" "ns" full_ns;
+      Report.row name "guided_ns" "ns" guided_ns;
+      Report.row ~gate:Ratio name "speedup" "x" speedup;
+      Report.row name "measured" "count" (float_of_int guided.Tuner.measured);
+      Report.row name "grid" "count" (float_of_int grid);
+      Report.row name "regret" "ratio" regret ] )
 
 let run ?(full = false) () =
   Report.header
@@ -99,7 +107,7 @@ let run ?(full = false) () =
     leg "spmm_sell" (fun () -> Tuner.spmm_sell_candidates spec g x ~feat)
   in
   let sddmm = leg "sddmm" (fun () -> Tuner.sddmm_candidates spec g xs ys ~feat) in
-  let rows = [ hyb; no_hyb; sell; sddmm ] in
+  let legs = [ hyb; no_hyb; sell; sddmm ] in
   (* cache leg: same generator recipe under a different seed must quantize
      to the same structure key and be served the stored schedule with zero
      measurements *)
@@ -133,10 +141,10 @@ let run ?(full = false) () =
          "tuner bench: structurally-similar matrix missed the schedule \
           cache (%d measurements; key %s)"
          warm_measured key2);
-  let geo =
-    Report.geomean
-      (List.map (fun (_, f, gd, _, _, _) -> f /. gd) rows)
-  in
+  let geo = Report.geomean (List.map fst legs) in
   Printf.printf "geomean search speedup (full/guided wall): %.2fx\n" geo;
-  Report.write_tuner_json ~path:"BENCH_tuner.json" ~warm_hits ~warm_measured
-    ~geomean_speedup:geo rows
+  Report.write_json ~bench:"tuner"
+    (List.concat_map snd legs
+    @ [ Report.row "all" "warm_hits" "count" (float_of_int warm_hits);
+        Report.row "all" "warm_measured" "count" (float_of_int warm_measured);
+        Report.row "all" "geomean_speedup" "x" geo ])

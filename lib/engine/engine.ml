@@ -299,7 +299,7 @@ let run_leased (l : lease) (f : unit -> 'a) : 'a =
 (* ------------------------------------------------------------------ *)
 
 (* Steal transfers across all parallel runs since [reset]; the parallel
-   bench prints it and bench_trend surfaces the totals. *)
+   bench prints it and records it as an info row. *)
 let total_stolen_chunks = Atomic.make 0
 let stolen_chunks () = Atomic.get total_stolen_chunks
 
@@ -1798,7 +1798,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
 
 type compiled = {
   c_name : string;
-  c_slots : int * int * int; (* int / float / bool slot counts *)
   c_run : Tensor.t list -> unit;
   c_par_runs : int ref; (* executions that took the domains-parallel path *)
   c_fallback_runs : int ref; (* serial fallbacks on unprovable disjointness *)
@@ -1811,7 +1810,6 @@ type compiled = {
 }
 
 let name (c : compiled) = c.c_name
-let slot_counts (c : compiled) = c.c_slots
 let par_runs (c : compiled) = !(c.c_par_runs)
 let fallback_runs (c : compiled) = !(c.c_fallback_runs)
 let tiled_runs (c : compiled) = !(c.c_tiled_runs)
@@ -1932,7 +1930,6 @@ let compile (fn : func) : compiled =
     :: !counter_registry;
   {
     c_name = fname;
-    c_slots = (ni, nf, nb);
     c_run = run;
     c_par_runs = ctx.par_runs;
     c_fallback_runs = ctx.fallback_runs;

@@ -32,9 +32,6 @@ val run : compiled -> Tir.Tensor.t list -> unit
 
 val name : compiled -> string
 
-val slot_counts : compiled -> int * int * int
-(** (int, float, bool) slot-array sizes — one slot per binding site. *)
-
 val par_runs : compiled -> int
 (** Executions of this artifact's thread-bound outer loops that took the
     domains-parallel path (disjointness proven, [num_domains () > 1]). *)

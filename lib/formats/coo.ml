@@ -80,8 +80,5 @@ let storage (m : t) : Descriptor.storage =
 let row_tensor (m : t) : Tir.Tensor.t =
   Descriptor.crd_tensor (storage m) ~level:0
 
-let col_tensor (m : t) : Tir.Tensor.t =
-  Descriptor.crd_tensor (storage m) ~level:1
-
 let data_tensor ?(dtype = Tir.Dtype.F32) (m : t) : Tir.Tensor.t =
   Descriptor.vals_tensor ~dtype (storage m)

@@ -28,5 +28,4 @@ val storage : t -> Descriptor.storage
 val row_tensor : t -> Tir.Tensor.t
 (** Per-entry row ids; sorted but repeating, so declared [Monotone_nd]. *)
 
-val col_tensor : t -> Tir.Tensor.t
 val data_tensor : ?dtype:Tir.Dtype.t -> t -> Tir.Tensor.t

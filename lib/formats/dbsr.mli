@@ -8,8 +8,6 @@ type t = {
   nrows_b : int;
 }
 
-val of_bsr : Bsr.t -> t
-
 val descriptor : block:int -> rows:int -> cols:int -> Descriptor.t
 (** DBSR as a level list: [Blocked block] coordinates under
     [[compressed; compressed; dense block; dense block]] — the root

@@ -58,9 +58,6 @@ let normalize ~(rows : int) ~(cols : int) (batch : edit list) :
     by_row []
   |> List.sort (fun a b -> compare a.re_row b.re_row)
 
-let touched_rows (n : row_edits list) : int list =
-  List.map (fun r -> r.re_row) n
-
 (* Merge one stored row (sorted columns [old_cols].(lo..hi-1) with values
    [old_vals]) against its normalized edits: one linear pass, returning the
    merged (cols, vals) arrays plus the counts of true insertions and true

@@ -18,8 +18,6 @@ val normalize : rows:int -> cols:int -> edit list -> row_edits list
     within a row, the last edit at a coordinate winning.  Raises
     [Invalid_argument] on out-of-range coordinates. *)
 
-val touched_rows : row_edits list -> int list
-
 val merge_row :
   old_cols:int array ->
   old_vals:float array ->

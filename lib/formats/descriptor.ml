@@ -39,6 +39,8 @@ let make ?(name = "fmt") ?(transform = Identity) ~dims levels =
 
 let cdiv a b = (a + b - 1) / b
 
+(* Level-space extent per level (e.g. [Blocked b] over r x c gives
+   [ceil(r/b); ceil(c/b); b; b]). *)
 let level_extents (d : t) : int array =
   match (d.transform, d.dims) with
   | Identity, dims -> Array.copy dims

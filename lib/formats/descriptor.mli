@@ -38,10 +38,6 @@ val make :
   ?name:string -> ?transform:transform -> dims:int array -> Levels.t list -> t
 (** Validates the level count against the transform's output arity. *)
 
-val level_extents : t -> int array
-(** Level-space extent per level (e.g. [Blocked b] over r x c gives
-    [ceil(r/b); ceil(c/b); b; b]). *)
-
 val to_trace : t -> string
 (** Cache-key fragment: name, transform, levels and dims — everything the
     built storage layout depends on.  Kernels compiled from a descriptor

@@ -13,7 +13,6 @@ type t = {
 }
 
 val nnz_stored : t -> int
-val original_row : t -> int -> int
 
 val descriptor : rows:int -> cols:int -> Descriptor.t
 (** ELL as a level list: [[dense rows; fixed_slice (Fit max_int)]]. *)

@@ -384,7 +384,6 @@ let live ?(slack = 0) ?(cap_slack = 0) ~(c : int) ~(k : int) (m : Csr.t) :
   cold_fill lv;
   lv
 
-let set_slack (lv : live) (s : int) : unit = lv.hl_slack <- max 0 s
 let live_generation (lv : live) : int = lv.hl_generation
 let live_source (lv : live) : Csr.live = lv.hl_csr
 

@@ -22,10 +22,6 @@ type t = {
 val default_k : Csr.t -> int
 (** The paper's bucketing rule: k = ceil(log2(nnz / rows)). *)
 
-val bucket_descriptor : width:int -> rows:int -> cols:int -> Descriptor.t
-(** One bucket as a level list: an explicit pseudo-row stream
-    ([singleton]) over [fixed_slice ~pad_coord:cols (Const width)]. *)
-
 val of_csr : c:int -> k:int -> Csr.t -> t
 (** Padded slots point one past the last column (an absent coordinate), so
     compiled copies and computations see them as structural zeros. *)
@@ -72,8 +68,6 @@ val apply_delta : live -> Delta.edit list -> delta_info
 
 val force_rebucket : live -> unit
 (** Escape hatch: shed all hysteresis retention by re-bucketing cold. *)
-
-val set_slack : live -> int -> unit
 
 val live_hyb : live -> t
 (** Immutable view sharing the live arrays; structurally equal to a cold

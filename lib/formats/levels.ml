@@ -7,7 +7,6 @@ type props = {
   full : bool;
 }
 
-let dense_props = { ordered = true; unique = true; full = true }
 let compressed_props = { ordered = true; unique = true; full = false }
 
 type width =

@@ -21,9 +21,6 @@ type props = {
   full : bool;
 }
 
-val dense_props : props
-(** ordered+unique+full: every coordinate present exactly once, in order. *)
-
 val compressed_props : props
 (** ordered+unique but not full: only nonempty coordinates stored. *)
 

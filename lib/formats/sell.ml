@@ -48,9 +48,6 @@ let to_dense (m : t) : Dense.t =
   done;
   d
 
-let slot_ptr_tensor (m : t) : Tir.Tensor.t =
-  Descriptor.pos_tensor m.storage ~level:1
-
 let indices_tensor (m : t) : Tir.Tensor.t =
   Descriptor.crd_tensor m.storage ~level:1
 

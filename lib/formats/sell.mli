@@ -27,10 +27,6 @@ val width_of : t -> int -> int
 
 val to_dense : t -> Dense.t
 
-val slot_ptr_tensor : t -> Tir.Tensor.t
-(** Per-row slot offsets (rows + 1, CSR-indptr-shaped over padded slots);
-    declared [Monotone_nd]. *)
-
 val indices_tensor : t -> Tir.Tensor.t
 (** Stored column ids; padded slots point at column 0 with value 0.0. *)
 

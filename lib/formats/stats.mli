@@ -33,13 +33,7 @@ val of_csr : Csr.t -> t
 (** One O(nnz + rows log rows) pass; every field is a per-row aggregate,
     so the result is invariant under row permutation. *)
 
-val qlog : float -> int
-(** Half-log2 grid for scale-like quantities (-1 for x <= 0). *)
-
 val qlog_int : int -> int
-
-val qquarter : float -> int
-(** 1/4 grid for bounded ratios. *)
 
 val quantized : t -> int list
 (** The signature on coarse grids (half-log2 for scale-like quantities,

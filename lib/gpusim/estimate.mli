@@ -28,15 +28,6 @@ val ideal : workload
 
 val block_schedule_cycles : float
 
-val occupancy_tail : Spec.t -> float -> float
-(** [occupancy_tail spec blocks]: slowdown factor (>= 1) from a partial
-    last wave of blocks across the SMs. *)
-
-val smoothing : float
-(** Weight of the non-dominant resource bounds in {!cycles}: the max stays
-    dominant (simulator-faithful) but ties on a family-wide bound still
-    rank by secondary costs. *)
-
 val cycles : Spec.t -> workload -> float
 val time_ms : Spec.t -> workload -> float
 

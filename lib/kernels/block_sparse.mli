@@ -11,12 +11,6 @@ type compiled = {
   out : Tir.Tensor.t;
 }
 
-val bsr_spmm_stage1 : Bsr.t -> heads:int -> feat:int -> Tir.Ir.func
-val bsr_head_data : Bsr.t -> heads:int -> seed:int -> Tir.Tensor.t
-val bsr_spmm_bindings : Bsr.t -> heads:int -> Tir.Tensor.t -> Gpusim.bindings * Tir.Tensor.t
-val schedule_bsr_spmm :
-  Tir.Ir.func -> Bsr.t -> feat:int -> staged:bool -> block:string -> Tir.Ir.func
-
 val bsr_spmm : ?staged:bool -> Bsr.t -> heads:int -> Tir.Tensor.t -> feat:int -> compiled
 val triton_bsr_spmm : Bsr.t -> heads:int -> Tir.Tensor.t -> feat:int -> compiled
 (** Triton block-sparse: no staging, fixed coarse block granularity. *)

@@ -16,11 +16,6 @@ val profile : ?horizontal_fusion:bool -> Gpusim.Spec.t -> compiled -> Gpusim.pro
 val reference : Csr.t array -> Dense.t -> Dense.t array -> Dense.t
 (** Host reference. *)
 
-val concat_relations : Csr.t array -> int array * int array
-(** Concatenated CSR over relations: row (r, i) at slot r*n + i. *)
-
-val w_tensor : Dense.t array -> Tir.Tensor.t
-
 val naive : Csr.t array -> Dense.t -> Dense.t array -> compiled
 (** SparseTIR(naive): one fused kernel over the concatenated CSR relations,
     CUDA cores, no format decomposition. *)
@@ -28,9 +23,6 @@ val naive : Csr.t array -> Dense.t -> Dense.t array -> compiled
 val hyb_buckets : ?k:int -> Csr.t array -> (int * Hyb.bucket) list * int
 (** The 3-D hyb of S4.4.1 (hyb(1, k) per relation); returns the buckets and
     the total padding. *)
-
-val phantom_ell_indices : Ell.t -> phantom:int -> Tir.Tensor.t
-(** ELL indices with padded slots redirected to a phantom zero row. *)
 
 val combine_funcs : string -> Tir.Ir.func list -> Tir.Ir.func
 (** Merge separately-scheduled single-kernel functions into one multi-kernel
@@ -44,8 +36,6 @@ val hyb_tc : ?k:int -> Csr.t array -> Dense.t -> Dense.t array -> compiled
 (** SparseTIR(hyb+TC), the Figure 21 schedule: per bucket, gather X rows and
     pin W_r in shared memory, multiply with tensor-core MMAs, and
     scatter-accumulate inside SRAM — no HBM intermediate. *)
-
-val zero_kernel : Tir.Tensor.t -> n:int -> l:int -> Tir.Ir.func * Gpusim.bindings
 
 val two_stage :
   ?extra_launches_per_relation:int -> Csr.t array -> Dense.t ->

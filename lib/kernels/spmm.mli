@@ -15,11 +15,6 @@ val stage1 : Csr.t -> feat:int -> Tir.Ir.func
 
 val base_bindings : Csr.t -> Dense.t -> feat:int -> Gpusim.bindings * Tir.Tensor.t
 
-val map_feature : Schedule.t -> tx:int -> vec:int -> unit
-(** k -> [serial][threadIdx.x][vectorized] mapping shared by the kernels. *)
-
-val feature_loops : vec:int -> string list
-
 val taco : Csr.t -> Dense.t -> feat:int -> compiled
 (** Coalesced row-group kernel but no register caching and no unrolling —
     the limitations the paper attributes to TACO. *)

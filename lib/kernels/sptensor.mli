@@ -10,14 +10,11 @@ type compiled = {
   out : Tir.Tensor.t;
 }
 
-val mttkrp_stage1 : Csf.t -> rank:int -> Tir.Ir.func
 val bindings_of : Csf.t -> Dense.t -> Dense.t -> Gpusim.bindings * Tir.Tensor.t
 
 val mttkrp : Csf.t -> Dense.t -> Dense.t -> compiled
 (** Y[i,r] = sum over (j,k) of T[i,j,k] B[j,r] C[k,r], rows across blocks,
     rank across threads, register accumulation over both reductions. *)
-
-val fusedmm_stage1 : Csr.t -> feat:int -> out_feat:int -> Tir.Ir.func
 
 val fusedmm : Csr.t -> Dense.t -> Dense.t -> Dense.t -> compiled
 (** Y[i,l] = sum_j (sum_k X[i,k] Z[j,k]) V[j,l] as one 4-deep iteration. *)

@@ -20,8 +20,6 @@ val spmm_step :
   spmm_variant -> Csr.t -> b_t:Tir.Tensor.t -> c_t:Tir.Tensor.t -> feat:int ->
   tag:string -> (Tir.Ir.func * Gpusim.bindings) list
 
-val zero_step : tag:string -> Tir.Tensor.t -> Tir.Ir.func * Gpusim.bindings
-
 val epoch :
   spmm_variant -> Csr.t -> in_feat:int -> hidden:int -> out_feat:int ->
   ?seed:int -> unit -> t

@@ -238,13 +238,6 @@ let find_block_exn (s : t) (name : string) : block =
   | Some b -> b
   | None -> err "no block named %s" name
 
-let block_names (s : t) : string list =
-  let acc = ref [] in
-  Analysis.iter_stmt
-    (function Block_stmt blk -> acc := blk.blk_name :: !acc | _ -> ())
-    s.fn.fn_body;
-  List.rev !acc
-
 (* ------------------------------------------------------------------ *)
 (* Shared helpers for block-level primitives                           *)
 (* ------------------------------------------------------------------ *)

@@ -24,7 +24,6 @@ val loop_names : t -> string list
 val find_loop_exn : t -> string -> var * expr * for_kind
 val rewrite_loop : t -> string -> (var -> expr -> for_kind -> stmt -> stmt) -> unit
 val find_block_exn : t -> string -> block
-val block_names : t -> string list
 val rewrite_block : t -> string -> (block -> stmt) -> unit
 
 (** {1 Loop transformations} *)
@@ -37,8 +36,6 @@ val split : t -> loop:string -> factor:int -> string * string
 val fuse : t -> outer:string -> inner:string -> string
 (** Fuse two perfectly nested loops; returns the fused loop's name. *)
 
-val outermost_of : t -> string list -> string
-
 val reorder : t -> loops:string list -> unit
 (** Reorder a contiguous nest into the given order.  Guards introduced by
     split pass through and are re-emitted innermost; moving a loop above one
@@ -46,7 +43,6 @@ val reorder : t -> loops:string list -> unit
 
 (** {1 Annotations} *)
 
-val set_kind : t -> loop:string -> for_kind -> unit
 val bind : t -> loop:string -> thread_tag -> unit
 
 val vectorize : t -> loop:string -> unit
@@ -60,8 +56,6 @@ val parallel : t -> loop:string -> unit
 val block_var_bindings : block -> expr Tir.Analysis.Int_map.t
 val single_store_exn : block -> buffer * expr list * expr
 val reduce_loop_vars : block -> string list
-val chain_to_block :
-  chain_vars:string list -> block_name:string -> stmt -> string list option
 val rewrite_at_chain_top :
   t -> chain_vars:string list -> ?required:string list -> block_name:string ->
   (stmt -> stmt) -> unit

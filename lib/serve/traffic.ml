@@ -141,7 +141,6 @@ type evolving = {
   ev_edits : int; (* edits per epoch *)
   ev_step : unit -> instance * Hyb.delta_info; (* advance one epoch *)
   ev_reference : unit -> instance; (* cold rebuild of the current epoch *)
-  ev_generation : unit -> int; (* live hyb generation (bucket rebuilds) *)
 }
 
 let evolving ?(seed = 17) ?(nodes = 160) ?(edges = 1300) ?(edits = 24)
@@ -177,5 +176,4 @@ let evolving ?(seed = 17) ?(nodes = 160) ?(edges = 1300) ?(edits = 24)
     ev_reference =
       (fun () ->
         let c, _ = Kernels.Spmm.sparsetir_hyb ~c:2 ~k:2 !cold x ~feat in
-        instance_of c);
-    ev_generation = (fun () -> Hyb.live_generation lv) }
+        instance_of c) }

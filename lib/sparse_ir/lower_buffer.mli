@@ -5,5 +5,4 @@
     the Eq. 6-8 flat offset.  The result contains no sparse constructs and
     is accepted by the evaluator and the GPU simulator. *)
 
-val flatten_buffer : Tir.Ir.buffer -> Tir.Ir.buffer
 val lower : Tir.Ir.func -> Tir.Ir.func

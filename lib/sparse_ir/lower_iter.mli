@@ -10,5 +10,4 @@
     reads of absent coordinates yield 0, stores to them are dropped), and
     read/write region analysis on the generated TensorIR block. *)
 
-val lower_sp_iter : Tir.Ir.sp_iter -> Tir.Ir.stmt
 val lower : Tir.Ir.func -> Tir.Ir.func

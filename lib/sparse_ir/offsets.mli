@@ -31,10 +31,6 @@ val extent : (string -> Tir.Ir.expr) -> Tir.Ir.axis -> Tir.Ir.expr
 (** Loop extent under the current ancestor positions (data-dependent for
     variable axes). *)
 
-val nnz_tree : Tir.Ir.axis list -> Tir.Ir.axis -> Tir.Ir.expr
-(** Stored positions of the chain rooted at an axis, restricted to the axes
-    present in the list — the paper's nnz(Tree(A_i)). *)
-
 val storage_size : Tir.Ir.axis list -> Tir.Ir.expr
 (** Total flat storage of a sparse buffer composed of the given axes:
     product of {!nnz_tree} over the roots. *)

@@ -1,9 +1,6 @@
 (** Stage I schedules (S3.2.2): transformations that stay in coordinate
     space. *)
 
-val rewrite_sp_iter :
-  Tir.Ir.func -> string -> (Tir.Ir.sp_iter -> Tir.Ir.sp_iter) -> Tir.Ir.func
-
 val sparse_reorder :
   Tir.Ir.func -> iter:string -> order:string list -> Tir.Ir.func
 (** Permute the axes of the named sparse iteration (kinds, variables and

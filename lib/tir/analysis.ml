@@ -565,12 +565,6 @@ type fail_reason =
 
 type verdict = Par of (buffer * witness) list | Serial of fail_reason
 
-let reason_label = function
-  | Fr_indirect -> "indirect"
-  | Fr_bsearch -> "bsearch"
-  | Fr_non_linear -> "non-linear"
-  | Fr_no_witness -> "no-witness"
-
 (* Can the iterations of [for x in range(n): body] run concurrently without
    write conflicts?  We prove a strong sufficient condition: for every buffer
    the body writes (and does not allocate locally), all accesses — loads and

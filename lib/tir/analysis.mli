@@ -11,7 +11,6 @@ val subst_expr : Ir.expr Int_map.t -> Ir.expr -> Ir.expr
 (** Replace variables (by id) throughout an expression. *)
 
 val subst_stmt : Ir.expr Int_map.t -> Ir.stmt -> Ir.stmt
-val subst_region : Ir.expr Int_map.t -> Ir.region -> Ir.region
 val subst1_expr : Ir.var -> Ir.expr -> Ir.expr -> Ir.expr
 val subst1_stmt : Ir.var -> Ir.expr -> Ir.stmt -> Ir.stmt
 
@@ -120,10 +119,6 @@ type fail_reason =
       (** indices are linear but no dimension agrees across accesses *)
 
 type verdict = Par of (Ir.buffer * witness) list | Serial of fail_reason
-
-val reason_label : fail_reason -> string
-(** Short diagnostic label: ["indirect"], ["bsearch"], ["non-linear"],
-    ["no-witness"]. *)
 
 val loop_disjointness : Ir.var -> Ir.stmt -> verdict
 (** [loop_disjointness x body] proves, per buffer [body] writes (locally

@@ -26,24 +26,6 @@ let float x = Float_imm x
 let bool b = Bool_imm b
 let v (x : var) = Evar x
 
-let rec dtype_of (e : expr) : Dtype.t =
-  match e with
-  | Int_imm _ -> Dtype.I32
-  | Float_imm _ -> Dtype.F32
-  | Bool_imm _ -> Dtype.Bool
-  | Evar x -> x.vdtype
-  | Load (b, _) -> b.buf_dtype
-  | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) -> Dtype.Bool
-  | Binop (_, a, b) ->
-      let da = dtype_of a and db = dtype_of b in
-      if Dtype.is_float da then da else if Dtype.is_float db then db else da
-  | Unop (Not, _) -> Dtype.Bool
-  | Unop ((Exp | Sqrt | Log), _) -> Dtype.F32
-  | Unop ((Neg | Abs), a) -> dtype_of a
-  | Select (_, a, _) -> dtype_of a
-  | Cast (dt, _) -> dt
-  | Bsearch b -> b.bs_buf.buf_dtype
-
 let rec ( +: ) a b =
   match (a, b) with
   | Int_imm x, Int_imm y -> Int_imm (Stdlib.( + ) x y)
@@ -113,10 +95,7 @@ let ( >: ) a b = Binop (Gt, a, b)
 let ( >=: ) a b = Binop (Ge, a, b)
 let ( &&: ) a b = Binop (And, a, b)
 let ( ||: ) a b = Binop (Or, a, b)
-let not_ a = Unop (Not, a)
-let neg a = Unop (Neg, a)
 let exp_ a = Unop (Exp, a)
-let sqrt_ a = Unop (Sqrt, a)
 let select c t f = Select (c, t, f)
 let cast dt e = Cast (dt, e)
 let f16 e = Cast (Dtype.F16, e)
@@ -193,10 +172,6 @@ let for_ ?(kind = Serial) name extent (f : expr -> stmt) : stmt =
   For { for_var = x; extent; kind; body = f (Evar x) }
 
 let if_ cond then_ = If (cond, then_, None)
-let if_else cond then_ else_ = If (cond, then_, Some else_)
-let let_ name value (f : expr -> stmt) : stmt =
-  let x = var ~dtype:(dtype_of value) name in
-  Let_stmt (x, value, f (Evar x))
 
 let alloc buf body = Alloc (buf, body)
 

@@ -6,7 +6,6 @@
     with constant folding.  Operators are suffixed with [:] ([+:], [*:],
     [<:], ...) so they do not shadow integer arithmetic. *)
 
-val var_counter : int ref
 val buf_counter : int ref
 
 val fresh_id : int ref -> int
@@ -25,9 +24,6 @@ val int : int -> Ir.expr
 val float : float -> Ir.expr
 val bool : bool -> Ir.expr
 val v : Ir.var -> Ir.expr
-
-val dtype_of : Ir.expr -> Dtype.t
-(** Inferred element type of an expression. *)
 
 val ( +: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( -: ) : Ir.expr -> Ir.expr -> Ir.expr
@@ -50,10 +46,7 @@ val ( >: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( >=: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( &&: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( ||: ) : Ir.expr -> Ir.expr -> Ir.expr
-val not_ : Ir.expr -> Ir.expr
-val neg : Ir.expr -> Ir.expr
 val exp_ : Ir.expr -> Ir.expr
-val sqrt_ : Ir.expr -> Ir.expr
 val select : Ir.expr -> Ir.expr -> Ir.expr -> Ir.expr
 val cast : Dtype.t -> Ir.expr -> Ir.expr
 val f16 : Ir.expr -> Ir.expr
@@ -107,8 +100,6 @@ val load : Ir.buffer -> Ir.expr list -> Ir.expr
 val seq : Ir.stmt list -> Ir.stmt
 val for_ : ?kind:Ir.for_kind -> string -> Ir.expr -> (Ir.expr -> Ir.stmt) -> Ir.stmt
 val if_ : Ir.expr -> Ir.stmt -> Ir.stmt
-val if_else : Ir.expr -> Ir.stmt -> Ir.stmt -> Ir.stmt
-val let_ : string -> Ir.expr -> (Ir.expr -> Ir.stmt) -> Ir.stmt
 val alloc : Ir.buffer -> Ir.stmt -> Ir.stmt
 
 val sp_iter :

@@ -26,7 +26,6 @@ type env = {
 
 val make_env : unit -> env
 val bind_buffer : env -> Ir.buffer -> Tensor.t -> unit
-val lookup_buffer : env -> Ir.buffer -> Tensor.t
 val eval_expr : env -> Ir.expr -> value
 val eval_int : env -> Ir.expr -> int
 
@@ -37,8 +36,6 @@ val binary_search : Tensor.t -> lo:int -> hi:int -> int -> int
 val upper_bound : Tensor.t -> lo:int -> hi:int -> int -> int
 (** Rightmost position in [lo, hi) whose element is <= the value (row
     recovery from indptr for fused iterations). *)
-
-val exec_stmt : env -> Ir.stmt -> unit
 
 val run_func : Ir.func -> Tensor.t list -> unit
 (** Execute a function with one tensor per parameter buffer, in order. *)

@@ -64,6 +64,7 @@ let region_to_string (r : region) : string =
                   (expr_to_string Builder.(lo +: ext)))
           r.rg_bounds))
 
+(* Rendered lines at the given indentation depth (2 spaces per level). *)
 let rec stmt_lines ~indent (s : stmt) : string list =
   let pad = String.make (indent * 2) ' ' in
   let line fmt = Printf.ksprintf (fun str -> pad ^ str) fmt in

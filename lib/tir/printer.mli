@@ -2,16 +2,8 @@
     the examples, the CLI and golden tests. *)
 
 val expr_to_string : Ir.expr -> string
-val axis_kind_to_string : Ir.axis_kind -> string
-val axis_to_string : Ir.axis -> string
-val for_kind_to_string : Ir.for_kind -> string
-val region_to_string : Ir.region -> string
-
-val stmt_lines : indent:int -> Ir.stmt -> string list
-(** Rendered lines at the given indentation depth (2 spaces per level). *)
 
 val stmt_to_string : Ir.stmt -> string
-val buffer_decl_to_string : Ir.buffer -> string
 
 val func_to_string : Ir.func -> string
 (** Whole function: axis declarations, buffer declarations, then the body. *)

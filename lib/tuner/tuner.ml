@@ -282,6 +282,8 @@ let est_spmm_no_hyb (spec : Gpusim.Spec.t) (a : Formats.Csr.t)
   in
   time_ms spec w
 
+(* [lens] is the row-length vector: the slice-max padding and width-variance
+   terms need it. *)
 let est_spmm_sell (spec : Gpusim.Spec.t) (a : Formats.Csr.t)
     (lens : int array) ~(feat : int) ~(slice : int) ~(row_group : int) : float =
   let open Gpusim.Estimate in
@@ -316,6 +318,9 @@ let est_spmm_sell (spec : Gpusim.Spec.t) (a : Formats.Csr.t)
   in
   time_ms spec w
 
+(* Replays the bucketize push rule (ceil-log2 buckets, long-row split) per
+   column partition to get exact pseudo-row/slot/block counts without
+   building the format. *)
 let est_spmm_hyb (spec : Gpusim.Spec.t) (a : Formats.Csr.t) ~(feat : int)
     ~(c : int) ~(k : int) : float =
   let open Gpusim.Estimate in

@@ -66,33 +66,6 @@ module Cache : sig
   val reset : unit -> unit
 end
 
-(** {1 Analytical estimates}
-
-    Closed-form scores per kernel family — format/schedule parameters plus
-    an O(nnz) structure scan, priced through {!Gpusim.Estimate} with the
-    same machine coefficients as the simulator.  Exposed for tests and the
-    [tune] CLI; the candidate factories attach them automatically. *)
-
-val est_spmm_no_hyb :
-  Gpusim.Spec.t -> Formats.Csr.t -> Formats.Stats.t -> feat:int ->
-  row_group:int -> vec:int -> float
-
-val est_spmm_sell :
-  Gpusim.Spec.t -> Formats.Csr.t -> int array -> feat:int -> slice:int ->
-  row_group:int -> float
-(** The [int array] is the row-length vector (the slice-max padding and
-    width-variance terms need it). *)
-
-val est_spmm_hyb :
-  Gpusim.Spec.t -> Formats.Csr.t -> feat:int -> c:int -> k:int -> float
-(** Replays the bucketize push rule (ceil-log2 buckets, long-row split)
-    per column partition to get exact pseudo-row/slot/block counts without
-    building the format. *)
-
-val est_sddmm :
-  Gpusim.Spec.t -> Formats.Csr.t -> feat:int -> edges:int -> group:int ->
-  vec:int -> float
-
 val spmm_hyb_candidates :
   ?cs:int list -> Gpusim.Spec.t -> Formats.Csr.t -> Formats.Dense.t ->
   feat:int -> int candidate list

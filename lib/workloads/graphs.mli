@@ -20,7 +20,6 @@ val table1 : spec list
 (** Scaled stand-ins for the seven graphs of Table 1. *)
 
 val find_spec : string -> spec
-val degree_sequence : Rng.t -> spec -> int array
 
 val generate : ?seed:int -> spec -> Csr.t
 (** Configuration-model adjacency with skewed column popularity. *)

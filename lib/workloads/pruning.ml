@@ -10,10 +10,6 @@
 
 open Formats
 
-(* BERT-base SpMM operator shapes (weight rows x cols); the dense operand has
-   [cols x seq_len] shape. *)
-let bert_shapes = [ (768, 768); (3072, 768); (768, 3072) ]
-
 (* Block-pruned weight matrix: keep approximately [density] of the blocks,
    with [zero_row_frac] of the block rows forced empty (clustered pruning). *)
 let block_pruned ?(seed = 5) ~(rows : int) ~(cols : int) ~(block : int)

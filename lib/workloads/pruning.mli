@@ -4,8 +4,6 @@
 
 open Formats
 
-val bert_shapes : (int * int) list
-
 val block_pruned :
   ?seed:int -> rows:int -> cols:int -> block:int -> density:float ->
   ?zero_row_frac:float -> unit -> Csr.t

@@ -4,7 +4,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 val int : t -> int -> int
 val float : t -> float
 val normal : t -> float

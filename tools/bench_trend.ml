@@ -1,303 +1,135 @@
-(* Bench trend check: compare a fresh bench JSON against the committed
-   baseline and fail (exit 1) when any kernel's speedup regressed by more
-   than the threshold.
+(* Bench trend check: compare a fresh BENCH_<bench>.json against the
+   committed baseline.
 
-   Two file kinds are understood, auto-detected from the "bench" field:
-   - BENCH_engine.json: the compared metric is each kernel's compiled
-     speedup-vs-interp.  Both engines run on the same machine in the same
-     process, so the ratio is stable across hosts of different absolute
-     speed — exactly what a CI runner needs when the baseline file was
-     written on a different box.
-   - BENCH_parallel.json: the compared metric is each kernel's
-     parallel-vs-serial speedup.  Unlike the engine ratio this one IS
-     host-dependent (it needs real cores), so on a host exposing fewer than
-     two cores the table is still printed but the regression gate is
-     skipped with a caveat — the fresh file then simply becomes the
-     recorded baseline.  The run's work-stealing total ("stolen_chunks")
-     is echoed after the table.
-   - BENCH_formats.json: the compared metric is each format's
-     descriptor-vs-legacy construction speedup (the "descriptor" rows).
-     Like the engine ratio, both legs run in the same process, so the ratio
-     is host-stable and gated unconditionally.  A construction-wall column
-     additionally shows each format's absolute cold-build time (ns per
-     build, baseline -> fresh) — informational only, never gated, since
-     wall time is host-dependent.
-   - BENCH_serve.json: the compared metric is each traffic phase's
-     requests/second through the serving loop, with the p99 latency shown
-     alongside.  Throughput needs real cores for the leased driver domains,
-     so like the parallel kind the gate is skipped with a caveat on hosts
-     exposing fewer than two cores.
-   - BENCH_mutate.json: the compared metric is each delta leg's
-     delta-vs-cold-rebuild speedup (the "mutate" rows).  Both legs run in
-     the same process on the same batch stream, so the ratio is
-     host-stable and gated unconditionally; the "cold" and "steady"
-     absolute-wall rows are informational and ignored.
-   - BENCH_tuner.json: the compared metric is each kernel family's
-     full-vs-guided search wall ratio.  Both legs run in the same process
-     with the compile cache reset between them, so the ratio is host-stable
-     and gated unconditionally.  Each row additionally carries the guided
-     winner's regret against the exhaustive winner, gated ABSOLUTELY (fresh
-     regret above 10% fails regardless of the baseline — a cost model that
-     starts picking bad schedules is a bug even if it always did).
+   Usage: bench_trend BASELINE.json FRESH.json
 
-   Usage: bench_trend BASELINE.json FRESH.json [--threshold=0.30]
+   Both files hold the rows [Report.write_json] writes, one per line:
+     {"bench": B, "kernel": K, "metric": M, "unit": U, "value": V, "gate": G}
+   Rows match on (kernel, metric) and the fresh row's gate decides: a
+   "ratio" row fails below 70% of its baseline value, an "info" row is only
+   printed.  A baseline row missing from the fresh file fails, and so does
+   a row that does not parse or whose value is not a finite number.  Exit 1
+   on any failure; exit 2 unless both files hold rows of one and the same
+   bench. *)
 
-   The parser is deliberately matched to [Report.write_engine_json] /
-   [Report.write_parallel_json]'s one-row-per-line output (this repo has no
-   JSON dependency); unknown lines are ignored. *)
+(* A ratio row fails below this share of its baseline: same-process ratios
+   still spread by about 20% between runs on a shared host. *)
+let min_ratio = 0.70
 
-let field_str (line : string) (key : string) : string option =
-  let pat = Printf.sprintf "\"%s\": \"" key in
-  match
-    String.length pat
-    |> fun plen ->
-    let rec find i =
-      if i + plen > String.length line then None
-      else if String.sub line i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some start ->
-      let rec close i =
-        if i >= String.length line then None
-        else if line.[i] = '"' then Some i
-        else close (i + 1)
-      in
-      Option.map (fun e -> String.sub line start (e - start)) (close start)
-
-let field_float (line : string) (key : string) : float option =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat in
-  let rec find i =
-    if i + plen > String.length line then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let is_num c = (c >= '0' && c <= '9') || c = '.' || c = '-' || c = 'e' in
-      let e = ref start in
-      while !e < String.length line && is_num line.[!e] do
-        incr e
-      done;
-      if !e = start then None
-      else float_of_string_opt (String.sub line start (!e - start))
-
-(* One parsed bench file: kernel -> the measured metric of its row (engine
-   files: the "compiled" rows' speedup-vs-interp; parallel files: the
-   "parallel" rows' speedup-vs-serial; serve files: the phase rows' req/s;
-   mutate files: the "mutate" rows' delta-vs-cold-rebuild speedup),
-   plus the file's kind and geomean.  Side channels: serve files carry each
-   phase's p99 latency, formats files the "descriptor" rows' absolute
-   construction wall time (ns per cold build — host-dependent, printed but
-   never gated), parallel files the run's stolen-chunk total. *)
-type bench_file = {
-  bf_kind : string;
-  bf_rows : (string * float) list;
-  bf_geo : float;
-  bf_p99 : (string * float) list;
-  bf_wall : (string * float) list;
-  bf_stolen : float option;
-  bf_regret : (string * float) list;
+type row = {
+  bench : string;
+  key : string * string; (* kernel, metric *)
+  unit : string;
+  value : float;
+  ratio : bool;
 }
 
-let load (path : string) : bench_file =
+(* The value of ["key": ...] in [line]: a quoted string's contents, or the
+   bare token up to the next [,] or [}]. *)
+let field (line : string) (key : string) : string option =
+  let pat = Printf.sprintf "\"%s\": " key in
+  let n = String.length line and p = String.length pat in
+  let rec find i =
+    if i + p > n then None
+    else if String.sub line i p = pat then Some (i + p)
+    else find (i + 1)
+  in
+  Option.map
+    (fun s ->
+      let quoted = s < n && line.[s] = '"' in
+      let s = if quoted then s + 1 else s in
+      let stop c = if quoted then c = '"' else c = ',' || c = '}' in
+      let e = ref s in
+      while !e < n && not (stop line.[!e]) do
+        incr e
+      done;
+      String.trim (String.sub line s (!e - s)))
+    (find 0)
+
+let parse (line : string) : row option =
+  match
+    ( field line "bench", field line "kernel", field line "metric",
+      field line "unit", field line "value", field line "gate" )
+  with
+  | Some bench, Some kernel, Some metric, Some unit, Some v,
+    Some (("ratio" | "info") as gate) -> (
+      match float_of_string_opt v with
+      | Some value when Float.is_finite value ->
+          Some { bench; key = (kernel, metric); unit; value;
+                 ratio = gate = "ratio" }
+      | _ -> None)
+  | _ -> None
+
+(* The rows of [path] and the number of lines that failed to parse; the
+   array brackets and blank lines are the only other lines allowed. *)
+let load (path : string) : row list * int =
   let ic = open_in path in
-  let kind = ref "engine" and rows = ref [] and geomean = ref nan in
-  let p99s = ref [] and walls = ref [] and stolen = ref None in
-  let regrets = ref [] in
+  let rows = ref [] and bad = ref 0 in
   (try
      while true do
-       let line = input_line ic in
-       (match field_str line "bench" with
-       | Some k -> kind := k
-       | None -> ());
-       (match field_float line "geomean_speedup" with
-       | Some g -> geomean := g
-       | None -> ());
-       (match field_str line "kernel" with
-       | Some _ -> ()
-       | None -> (
-           (* top-level field, not a row *)
-           match field_float line "stolen_chunks" with
-           | Some s -> stolen := Some s
-           | None -> ()));
-       let tagged =
-         match field_str line "engine" with
-         | Some _ as e -> e
-         | None -> field_str line "mode"
-       in
-       match (field_str line "kernel", tagged) with
-       | Some k, Some ("compiled" | "parallel" | "descriptor" | "mutate"
-                      | "tuner") ->
-           (match (tagged, field_float line "ns_per_iter") with
-           | Some ("descriptor" | "tuner"), Some w -> walls := (k, w) :: !walls
-           | _ -> ());
-           (match (tagged, field_float line "regret") with
-           | Some "tuner", Some r -> regrets := (k, r) :: !regrets
-           | _ -> ());
-           (match field_float line "speedup" with
-           | Some s -> rows := (k, s) :: !rows
-           | None -> ())
-       | Some k, Some "serve" -> (
-           (match field_float line "p99_ms" with
-           | Some p -> p99s := (k, p) :: !p99s
-           | None -> ());
-           match field_float line "req_per_s" with
-           | Some s -> rows := (k, s) :: !rows
-           | None -> ())
-       | _ -> ()
+       let line = String.trim (input_line ic) in
+       if not (List.mem line [ ""; "["; "]" ]) then
+         match parse line with
+         | Some r -> rows := r :: !rows
+         | None ->
+             incr bad;
+             Printf.printf "UNPARSABLE row in %s: %s\n" path line
      done
    with End_of_file -> close_in ic);
-  { bf_kind = !kind; bf_rows = List.rev !rows; bf_geo = !geomean;
-    bf_p99 = List.rev !p99s; bf_wall = List.rev !walls;
-    bf_stolen = !stolen; bf_regret = List.rev !regrets }
+  (List.rev !rows, !bad)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let threshold = ref 0.30 in
-  let files =
-    List.filter
-      (fun a ->
-        match String.index_opt a '=' with
-        | Some i when String.sub a 0 i = "--threshold" ->
-            threshold :=
-              float_of_string (String.sub a (i + 1) (String.length a - i - 1));
-            false
-        | _ -> true)
-      args
-  in
-  match files with
+  match List.tl (Array.to_list Sys.argv) with
   | [ base_path; fresh_path ] ->
-      let bf = load base_path and ff = load fresh_path in
-      let base_kind = bf.bf_kind and fresh_kind = ff.bf_kind in
-      let base = bf.bf_rows and fresh = ff.bf_rows in
-      let base_geo = bf.bf_geo and fresh_geo = ff.bf_geo in
-      let base_p99 = bf.bf_p99 and fresh_p99 = ff.bf_p99 in
-      if base_kind <> fresh_kind then (
-        Printf.eprintf
-          "bench_trend: bench kinds differ (%s baseline vs %s fresh)\n"
-          base_kind fresh_kind;
-        exit 2);
-      (* parallel speedups and serving throughput need real cores: a
-         single-core host measures pool/driver overhead, which would trip
-         the gate on every run *)
-      let gate =
-        if
-          (fresh_kind = "parallel" || fresh_kind = "serve")
-          && Domain.recommended_domain_count () < 2
-        then begin
-          Printf.printf
-            "bench_trend: host exposes < 2 cores — %s, regression gate \
-             skipped\n"
-            (if fresh_kind = "serve" then
-               "serving req/s reflects driver-domain contention"
-             else "parallel speedups reflect pool overhead");
-          false
-        end
-        else true
+      let base, base_bad = load base_path in
+      let fresh, fresh_bad = load fresh_path in
+      let benches rows =
+        List.sort_uniq compare (List.map (fun r -> r.bench) rows)
       in
-      if base = [] then (
-        Printf.eprintf "bench_trend: no compiled rows in %s\n" base_path;
-        exit 2);
-      if fresh = [] then (
-        Printf.eprintf "bench_trend: no compiled rows in %s\n" fresh_path;
-        exit 2);
-      let fmt_ns ns =
-        if ns >= 1e6 then Printf.sprintf "%.2fms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%.1fus" (ns /. 1e3)
-        else Printf.sprintf "%.0fns" ns
+      (match (benches base, benches fresh) with
+      | [ b ], [ f ] when b = f -> ()
+      | bs, fs ->
+          Printf.eprintf
+            "bench_trend: want rows of one bench in both files, got [%s] vs \
+             [%s]\n"
+            (String.concat " " bs) (String.concat " " fs);
+          exit 2);
+      let failures = ref (base_bad + fresh_bad) in
+      let line (kernel, metric) unit b f verdict =
+        Printf.printf "%-18s %-16s %-8s %12s %12s  %s\n" kernel metric unit b f
+          verdict
       in
-      Printf.printf "%-20s %10s %10s %8s%s\n" "kernel" "baseline" "fresh"
-        "ratio"
-        (if fresh_kind = "formats" then "  construction-wall (b->f)"
-         else if fresh_kind = "tuner" then "  guided-wall (b->f)"
-         else "");
-      let failures = ref 0 in
+      line ("kernel", "metric") "unit" "baseline" "fresh" "";
+      let num = Printf.sprintf "%.6g" in
       List.iter
-        (fun (k, b) ->
-          match List.assoc_opt k fresh with
+        (fun b ->
+          match List.find_opt (fun f -> f.key = b.key) fresh with
           | None ->
               incr failures;
-              Printf.printf "%-20s %10.2f %10s  MISSING from fresh run\n" k b
-                "-"
+              line b.key b.unit (num b.value) "-" "MISSING from fresh run"
           | Some f ->
-              (* a NaN or non-positive measurement fails no [<] comparison,
-                 so it must be rejected explicitly rather than pass
-                 silently *)
-              let ratio = f /. b in
-              if Float.is_nan ratio || b <= 0.0 || f <= 0.0 then begin
-                incr failures;
-                Printf.printf "%-20s %10.2f %10.2f %8s  INVALID measurement\n"
-                  k b f "-"
-              end
-              else begin
-                let bad = gate && ratio < 1.0 -. !threshold in
-                if bad then incr failures;
-                let p99 =
-                  match
-                    (List.assoc_opt k base_p99, List.assoc_opt k fresh_p99)
-                  with
-                  | Some pb, Some pf ->
-                      Printf.sprintf "  p99 %.2f->%.2fms" pb pf
-                  | _ -> ""
-                in
-                (* absolute cold-build wall time for formats rows: the
-                   speedup ratio alone hides a construction path that got
-                   uniformly slower against its legacy leg *)
-                let wall =
-                  match
-                    (List.assoc_opt k bf.bf_wall, List.assoc_opt k ff.bf_wall)
-                  with
-                  | Some wb, Some wf ->
-                      Printf.sprintf "  wall %s->%s" (fmt_ns wb) (fmt_ns wf)
-                  | _ -> ""
-                in
-                (* guided-search regret is gated absolutely: the 10% bound
-                   is the cost model's contract, not a trend relative to
-                   the baseline file *)
-                let regret =
-                  match List.assoc_opt k ff.bf_regret with
-                  | Some r ->
-                      let rbad = r > 0.10 in
-                      if rbad then incr failures;
-                      Printf.sprintf "  regret %.1f%%%s" (100.0 *. r)
-                        (if rbad then "  EXCEEDS 10% BOUND" else "")
-                  | None -> ""
-                in
-                Printf.printf "%-20s %10.2f %10.2f %7.2f%s%s%s%s\n" k b f
-                  ratio p99 wall regret
-                  (if bad then "  REGRESSION" else "")
-              end)
+              let ratio = f.value /. b.value in
+              let bad = f.ratio && not (b.value > 0.0 && ratio >= min_ratio) in
+              if bad then incr failures;
+              line b.key f.unit (num b.value) (num f.value)
+                (Printf.sprintf "%.2fx %s" ratio
+                   (if bad then "REGRESSION"
+                    else if f.ratio then "ok"
+                    else "info")))
         base;
-      (* kernels only present in the fresh run have no baseline to gate
-         against: report them so a silently-renamed kernel is visible *)
+      (* a fresh row with no baseline is not gated; list it so a renamed
+         kernel is visible *)
       List.iter
-        (fun (k, f) ->
-          if not (List.mem_assoc k base) then
-            Printf.printf "%-20s %10s %10.2f %8s  NEW (no baseline)\n" k "-" f
-              "-")
+        (fun f ->
+          if not (List.exists (fun b -> b.key = f.key) base) then
+            line f.key f.unit "-" (num f.value) "NEW (no baseline)")
         fresh;
-      (match ff.bf_stolen with
-      | Some sf ->
-          Printf.printf "stolen chunks: baseline %s -> fresh %.0f\n"
-            (match bf.bf_stolen with
-            | Some sb -> Printf.sprintf "%.0f" sb
-            | None -> "-")
-            sf
-      | None -> ());
-      Printf.printf "geomean: baseline %.2fx -> fresh %.2fx (threshold: \
-                     fail below %.0f%% of baseline per kernel)\n"
-        base_geo fresh_geo
-        ((1.0 -. !threshold) *. 100.0);
+      Printf.printf "(a ratio row fails below %.0f%% of its baseline)\n"
+        (100.0 *. min_ratio);
       if !failures > 0 then (
-        Printf.printf "bench_trend: %d kernel(s) regressed\n" !failures;
+        Printf.printf "bench_trend: %d failure(s)\n" !failures;
         exit 1)
-      else Printf.printf "bench_trend: ok\n"
+      else print_endline "bench_trend: ok"
   | _ ->
-      prerr_endline "usage: bench_trend BASELINE.json FRESH.json \
-                     [--threshold=0.30]";
+      prerr_endline "usage: bench_trend BASELINE.json FRESH.json";
       exit 2
