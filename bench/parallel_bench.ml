@@ -97,19 +97,6 @@ let run ?(full = false) ?(domains = 0) () =
               %d-domain runs"
              c.pk_name domains);
       let art = Engine.artifact c.pk_fn in
-      (* persistent runtime: the timing leg warmed the replica cache at
-         [domains], so further executes must allocate no replicas *)
-      let rb0 = Engine.replica_builds () in
-      for _ = 1 to 3 do
-        exec domains
-      done;
-      if Engine.replica_builds () <> rb0 then
-        failwith
-          (Printf.sprintf
-             "parallel bench: %s rebuilt replicas on a warm artifact (%d \
-              builds after warmup)"
-             c.pk_name
-             (Engine.replica_builds () - rb0));
       let speedup = serial_ns /. parallel_ns in
       Printf.printf "%-20s %14.0f %14.0f %8.2fx %5d %5d  %s\n%!" c.pk_name
         serial_ns parallel_ns speedup (Engine.par_runs art)
@@ -131,9 +118,7 @@ let run ?(full = false) ?(domains = 0) () =
   Printf.printf "geomean speedup: %.2fx (%d domains vs serial, %d worker \
                  domains pooled)\n"
     geomean_speedup domains (Engine.pool_size ());
-  Printf.printf
-    "work stealing: %d chunk(s) stolen; replica builds total: %d\n" stolen
-    (Engine.replica_builds ());
+  Printf.printf "work stealing: %d chunk(s) stolen\n" stolen;
   Report.write_json ~bench:"parallel"
     (!rows
     @ [ Report.row "all" "domains" "count" (float_of_int domains);

@@ -125,9 +125,9 @@ let run graph feat op gpu system engine domains fusion =
     ((Unix.gettimeofday () -. t0) *. 1000.0);
   if engine = Engine.Compiled then begin
     let art = Engine.artifact fn in
-    Printf.printf "parallel: domains=%d, parallel runs=%d (%d tiled), serial \
+    Printf.printf "parallel: domains=%d, parallel runs=%d, serial \
                    fallbacks=%d (%s)\n"
-      (Engine.num_domains ()) (Engine.par_runs art) (Engine.tiled_runs art)
+      (Engine.num_domains ()) (Engine.par_runs art)
       (Engine.fallback_runs art)
       (Engine.reasons_to_string (Engine.fallback_reasons art));
     Printf.printf "fusion: %s, fused stores=%d, hoisted=%d, \

@@ -61,19 +61,8 @@ let clone_state (st : state) : state =
     bufs = Array.copy st.bufs;
   }
 
-(* Refresh a cached replica in place from the run's root state.  Replicas
-   are only ever reused for the artifact whose state they were cloned from,
-   so the slot arrays have identical lengths and plain blits replace the
-   four allocations [clone_state] would pay per run. *)
-let refresh_state ~(from : state) (r : state) : unit =
-  Array.blit from.ints 0 r.ints 0 (Array.length from.ints);
-  Array.blit from.floats 0 r.floats 0 (Array.length from.floats);
-  Array.blit from.bools 0 r.bools 0 (Array.length from.bools);
-  Array.blit from.bufs 0 r.bufs 0 (Array.length from.bufs)
-
 (* A placeholder for not-yet-bound buffer slots; never read on valid
-   programs (every access compiles against a param or live Alloc slot).
-   Also used to drop tensor references from cached states between runs. *)
+   programs (every access compiles against a param or live Alloc slot). *)
 let null_tensor = lazy (Tensor.create Dtype.I32 [ 0 ])
 
 (* ------------------------------------------------------------------ *)
@@ -314,10 +303,10 @@ let stolen_chunks () = Atomic.get total_stolen_chunks
    victim holding more than one unit, installing it as its own range (a
    plain store is safe there: nobody CASes an empty deque).  Every handoff
    is CAS-linearized, so each unit executes exactly once, and [run_chunk]
-   is told which worker ran it — chunk logs are per worker, so stitching
-   is oblivious to stealing and outputs stay bit-identical.  The first
-   exception re-raises after the join; the raising worker's remaining
-   units may then not run.  [units] must not exceed [steal_max_units]. *)
+   is told which worker ran it, so it can run on that worker's state
+   replica.  The first exception re-raises after the join; the raising
+   worker's remaining units may then not run.  [units] must not exceed
+   [steal_max_units]. *)
 let steal_shift = 30
 let steal_mask = (1 lsl steal_shift) - 1
 let steal_max_units = steal_mask
@@ -417,32 +406,15 @@ let parallel_tasks (k : int) (f : int -> unit) : unit =
             done))
 
 (* ------------------------------------------------------------------ *)
-(* Chunking and output tiling                                           *)
+(* Chunking                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let cache_line_bytes = 64
-
-(* Above this size a per-domain private copy of an output tensor costs more
-   to clone and stitch than the false sharing it avoids. *)
-let strip_numel_cap = 1 lsl 16
 
 (* Iterations per chunk a worker takes off its range (or per monotone-gather
    segment): ceil(n / 4d), so at most [4 * d] chunks and never a flood of
-   1-iteration chunks when [n < 4 * d].  [align] rounds the grain up to an
-   iteration multiple whose output rows start on a cache-line boundary (1
-   when no tiling applies); the grain is capped at one aligned per-domain
-   share so small loops still spread across every domain. *)
-let chunk_grain ~(n : int) ~(domains : int) ~(align : int) : int =
-  if n <= 0 then 1
-  else
-    let d = max 1 domains in
-    let align = max 1 align in
-    let round_up v = (v + align - 1) / align * align in
-    let per_domain = round_up ((n + d - 1) / d) in
-    let base = round_up (max 1 ((n + (4 * d) - 1) / (4 * d))) in
-    max align (min base per_domain)
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+   1-iteration chunks when [n < 4 * d]. *)
+let chunk_grain ~(n : int) ~(domains : int) : int =
+  let d = max 1 domains in
+  max 1 ((n + (4 * d) - 1) / (4 * d))
 
 (* Chunk boundaries for gather witnesses whose maps are only non-decreasing
    (hyb's widest bucket maps repeat a row across the pseudo-rows a long row
@@ -473,51 +445,6 @@ let aligned_bounds ~(n : int) ~(grain : int) (maps : (Tensor.t * int) list) :
   Array.of_list (List.rev !bounds)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent parallel runtime (DESIGN.md §3d)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-loop-site cache of the parallel runtime's allocations: the replica
-   states, the chunk logs, and the private strip copies of narrow outputs.
-   One cache lives in each compiled Par closure, so it is keyed by artifact
-   identity for free; validity is keyed by the replica count [pc_domains]
-   (a [set_num_domains] change shows up as a mismatch and rebuilds), and a
-   runtime fact failure drops the cache entirely.  [pc_busy] makes reuse
-   exclusive: two leased drivers executing the same artifact concurrently
-   race for the cache, and the loser falls back to transient clones for
-   that run — correctness never depends on winning. *)
-type par_cache = {
-  mutable pc_domains : int; (* replica count the cache holds, 0 = empty *)
-  mutable pc_states : state array; (* slot 0 is rebound to the run's root *)
-  mutable pc_logs : (int * int) list array;
-  pc_strips : (int * int, Tensor.t) Hashtbl.t; (* (worker, slot) -> copy *)
-  pc_busy : bool Atomic.t;
-}
-
-let make_par_cache () : par_cache =
-  {
-    pc_domains = 0;
-    pc_states = [||];
-    pc_logs = [||];
-    pc_strips = Hashtbl.create 8;
-    pc_busy = Atomic.make false;
-  }
-
-let invalidate_par_cache (pc : par_cache) : unit =
-  if Atomic.compare_and_set pc.pc_busy false true then begin
-    pc.pc_domains <- 0;
-    pc.pc_states <- [||];
-    pc.pc_logs <- [||];
-    Hashtbl.reset pc.pc_strips;
-    Atomic.set pc.pc_busy false
-  end
-
-(* Replica (re)builds across the process, i.e. parallel runs that could NOT
-   reuse a cached state set; zeroed by [reset].  The parallel bench asserts
-   this stays flat across repeated executions of a warm artifact. *)
-let total_replica_builds = Atomic.make 0
-let replica_builds () = Atomic.get total_replica_builds
-
-(* ------------------------------------------------------------------ *)
 (* Fallback reasons                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -537,7 +464,6 @@ let reason_index = function
    tolerates, whereas the process totals feed the serve metrics. *)
 let total_par_runs = Atomic.make 0
 let total_fallback_runs = Atomic.make 0
-let total_tiled_runs = Atomic.make 0
 let total_reasons =
   Array.init (Array.length reason_labels) (fun _ -> Atomic.make 0)
 
@@ -586,9 +512,6 @@ type ctx = {
   (* fallback counts broken down by Analysis.fail_reason (indexed by
      [reason_index]; runtime fact failures land on "indirect") *)
   reasons : int array;
-  (* parallel runs that gave at least one narrow output a per-domain write
-     strip *)
-  tiled_runs : int ref;
   (* per-artifact fusion-site counters (compile-time): stores fused into a
      single load-accumulate closure, loop-invariant index expressions
      hoisted into prologue slots, and linear indices strength-reduced into
@@ -1367,17 +1290,17 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
       | Some (Analysis.Par ws) ->
           (* iterations provably write disjoint buffer regions: spread them
              across domains, each running the same compiled body against
-             its own state replica.  Work is handed out in contiguous
-             chunks by the work-stealing scheduler ([run_stealing]) so
-             uneven iteration costs (e.g. power-law row lengths) balance
-             dynamically.  The decision to actually go parallel is made
-             per run, from the current [num_domains].  The prologue runs
-             on the root state BEFORE cloning, so hoisted slots propagate
-             into every per-domain replica. *)
+             its own state replica and writing the shared output tensors in
+             place.  Work is handed out in contiguous chunks by the
+             work-stealing scheduler ([run_stealing]) so uneven iteration
+             costs (e.g. power-law row lengths) balance dynamically.  The
+             decision to actually go parallel is made per run, from the
+             current [num_domains].  The prologue runs on the root state
+             BEFORE cloning, so hoisted slots propagate into every
+             per-domain replica. *)
           (* Gather witnesses name the map buffers whose runtime facts
-             (Tensor.Facts) decide per run whether the scatter is safe;
-             direct dimension-0 witnesses are candidates for per-domain
-             output strips.  Both resolve their buffer slots now. *)
+             (Tensor.Facts) decide per run whether the scatter is safe; they
+             resolve their buffer slots now. *)
           let gathers =
             List.sort_uniq compare
               (List.filter_map
@@ -1388,16 +1311,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                    | Analysis.W_direct _ -> None)
                  ws)
           in
-          let strip_cands =
-            List.sort_uniq compare
-              (List.filter_map
-                 (fun ((b : buffer), w) ->
-                   match w with
-                   | Analysis.W_direct { dim = 0; coeff; arity = Some r } ->
-                       Some (buf_slot scope b, coeff, r)
-                   | _ -> None)
-                 ws)
-          in
           ctx.in_parallel <- true;
           let fbody = compile_stmt ctx body_scope body in
           ctx.in_parallel <- false;
@@ -1405,10 +1318,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           let par = ctx.par_runs in
           let fellback = ctx.fallback_runs in
           let reasons = ctx.reasons in
-          let tiled = ctx.tiled_runs in
-          (* per-site persistent runtime: replicas, logs and strip copies
-             survive across runs of this artifact (DESIGN.md §3d) *)
-          let pcache = make_par_cache () in
           fun st ->
             let n = iget ext st in
             run_prologue st;
@@ -1434,178 +1343,31 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                 Atomic.incr total_fallback_runs;
                 reasons.(0) <- reasons.(0) + 1;
                 Atomic.incr total_reasons.(0);
-                (* the facts this loop's parallel runs were keyed on no
-                   longer hold: drop the cached replicas too *)
-                invalidate_par_cache pcache;
                 iter st 0 n
               end
               else begin
                 incr par;
                 Atomic.incr total_par_runs;
-                (* narrow direct-witness outputs: [u] flat elements per
-                   iteration, contiguous from flat position 0 (witness dim
-                   0), so chunks map to blit-able flat ranges *)
-                let narrow =
-                  List.filter_map
-                    (fun (slot, c, rank) ->
-                      let t = st.bufs.(slot) in
-                      let nm = Tensor.numel t in
-                      let units =
-                        if rank = 1 then Some c
-                        else if
-                          Array.length t.Tensor.shape = rank
-                          && t.Tensor.shape.(0) > 0
-                        then Some (c * (nm / t.Tensor.shape.(0)))
-                        else None
-                      in
-                      match units with
-                      | Some u
-                        when u * Dtype.size_bytes t.Tensor.dtype
-                             < cache_line_bytes ->
-                          Some (slot, u, t, nm)
-                      | _ -> None)
-                    strip_cands
+                let states =
+                  Array.init d (fun w -> if w = 0 then st else clone_state st)
                 in
-                (* align chunk cuts so each chunk's first output row starts
-                   on a cache-line boundary of every narrow output *)
-                let align =
-                  List.fold_left
-                    (fun acc (_, u, t, _) ->
-                      let epl =
-                        max 1
-                          (cache_line_bytes
-                          / Dtype.size_bytes t.Tensor.dtype)
-                      in
-                      let a = epl / gcd u epl in
-                      acc * a / gcd acc a)
-                    1 narrow
+                let grain = chunk_grain ~n ~domains:d in
+                (* scheduler units: monotone-gather segments, so every cut
+                   keeps an output row on one domain; otherwise iterations
+                   (spans of several when n would overflow a deque) *)
+                let units, grain_u, cut =
+                  match !monotone with
+                  | [] ->
+                      let span = (n + steal_max_units - 1) / steal_max_units in
+                      ( (n + span - 1) / span,
+                        max 1 (grain / span),
+                        fun k -> min n (k * span) )
+                  | maps ->
+                      let b = aligned_bounds ~n ~grain maps in
+                      (Array.length b - 1, 1, Array.get b)
                 in
-                let grain = chunk_grain ~n ~domains:d ~align in
-                let strips =
-                  List.filter (fun (_, _, _, nm) -> nm <= strip_numel_cap)
-                    narrow
-                in
-                (* claim the cached runtime; a loser (another leased driver
-                   running this same artifact) builds transients *)
-                let claimed =
-                  Atomic.compare_and_set pcache.pc_busy false true
-                in
-                Fun.protect
-                  ~finally:(fun () ->
-                    if claimed then begin
-                      (* drop this run's tensors from the cached replicas;
-                         the arrays persist and are refreshed next run *)
-                      let nil = Lazy.force null_tensor in
-                      Array.iteri
-                        (fun w rs ->
-                          if w > 0 then
-                            Array.fill rs.bufs 0 (Array.length rs.bufs) nil)
-                        pcache.pc_states;
-                      Atomic.set pcache.pc_busy false
-                    end)
-                  (fun () ->
-                    let states, logs =
-                      if claimed && pcache.pc_domains = d then begin
-                        let sts = pcache.pc_states in
-                        sts.(0) <- st;
-                        for w = 1 to d - 1 do
-                          refresh_state ~from:st sts.(w)
-                        done;
-                        (sts, pcache.pc_logs)
-                      end
-                      else begin
-                        Atomic.incr total_replica_builds;
-                        let sts =
-                          Array.init d (fun i ->
-                              if i = 0 then st else clone_state st)
-                        in
-                        let lg = Array.make d [] in
-                        if claimed then begin
-                          pcache.pc_domains <- d;
-                          pcache.pc_states <- sts;
-                          pcache.pc_logs <- lg;
-                          Hashtbl.reset pcache.pc_strips
-                        end;
-                        (sts, lg)
-                      end
-                    in
-                    let log_chunks = strips <> [] in
-                    if log_chunks then begin
-                      incr tiled;
-                      Atomic.incr total_tiled_runs;
-                      Array.fill logs 0 d [];
-                      (* workers 1.. write private copies (worker 0 keeps
-                         the shared tensor: nothing else touches its cache
-                         lines); each copy carries the pre-loop values, so
-                         read-modify accumulations inside a worker's own
-                         slabs stay exact.  Cached copies are refreshed by
-                         blit; shape/dtype changes re-copy. *)
-                      for w = 1 to d - 1 do
-                        List.iter
-                          (fun (slot, _, t, nm) ->
-                            let priv =
-                              if not claimed then Tensor.copy t
-                              else
-                                match
-                                  Hashtbl.find_opt pcache.pc_strips (w, slot)
-                                with
-                                | Some p
-                                  when p.Tensor.dtype = t.Tensor.dtype
-                                       && p.Tensor.shape = t.Tensor.shape ->
-                                    Tensor.blit ~src:t ~dst:p ~pos:0 ~len:nm;
-                                    p
-                                | _ ->
-                                    let p = Tensor.copy t in
-                                    Hashtbl.replace pcache.pc_strips (w, slot)
-                                      p;
-                                    p
-                            in
-                            states.(w).bufs.(slot) <- priv)
-                          strips
-                      done
-                    end;
-                    (* scheduler units: monotone-gather segments, so every
-                       cut keeps an output row on one domain; otherwise
-                       align-multiples (a larger multiple when n / align
-                       would overflow a deque), so every cut keeps narrow
-                       outputs cache-line aligned *)
-                    let units, grain_u, cut =
-                      match !monotone with
-                      | [] ->
-                          let span =
-                            align
-                            * ((((n + align - 1) / align) + steal_max_units - 1)
-                              / steal_max_units)
-                          in
-                          ( (n + span - 1) / span,
-                            max 1 (grain / span),
-                            fun k -> min n (k * span) )
-                      | maps ->
-                          let b = aligned_bounds ~n ~grain maps in
-                          (Array.length b - 1, 1, Array.get b)
-                    in
-                    run_stealing ~lease ~d ~units ~grain_u
-                      ~run_chunk:(fun w k0 k1 ->
-                        let lo = cut k0 and hi = cut k1 in
-                        if log_chunks && w > 0 then
-                          logs.(w) <- (lo, hi) :: logs.(w);
-                        iter states.(w) lo hi);
-                    (* stitch: copy each worker's chunk regions back into
-                       the shared outputs (regions are disjoint across
-                       workers by the witness, so order does not matter) *)
-                    List.iter
-                      (fun (slot, u, t, nm) ->
-                        for w = 1 to d - 1 do
-                          let src = states.(w).bufs.(slot) in
-                          List.iter
-                            (fun (lo, hi) ->
-                              let pos = lo * u in
-                              let len = min nm (hi * u) - pos in
-                              if len > 0 then
-                                Tensor.blit ~src ~dst:t ~pos ~len)
-                            logs.(w)
-                        done)
-                      strips)
+                run_stealing ~lease ~d ~units ~grain_u
+                  ~run_chunk:(fun w k0 k1 -> iter states.(w) (cut k0) (cut k1))
               end
             end
       | Some (Analysis.Serial reason) ->
@@ -1797,30 +1559,28 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
 (* ------------------------------------------------------------------ *)
 
 type compiled = {
-  c_name : string;
   c_run : Tensor.t list -> unit;
   c_par_runs : int ref; (* executions that took the domains-parallel path *)
   c_fallback_runs : int ref; (* serial fallbacks on unprovable disjointness *)
   c_reasons : int array; (* fallbacks by reason, indexed by [reason_index] *)
-  c_tiled_runs : int ref; (* parallel runs that tiled a narrow output *)
   (* fusion peephole sites, fixed at compile time *)
   c_fused_sites : int; (* stores fused into load-accumulate closures *)
   c_hoisted_sites : int; (* loop-invariant index exprs moved to prologues *)
   c_linear_sites : int; (* linear indices strength-reduced to running adds *)
 }
 
-let name (c : compiled) = c.c_name
 let par_runs (c : compiled) = !(c.c_par_runs)
 let fallback_runs (c : compiled) = !(c.c_fallback_runs)
-let tiled_runs (c : compiled) = !(c.c_tiled_runs)
 
 let fallback_reasons (c : compiled) : (string * int) list =
   Array.to_list (Array.mapi (fun i n -> (reason_labels.(i), n)) c.c_reasons)
 
 let parallel_totals () =
-  ( Atomic.get total_par_runs,
-    Atomic.get total_fallback_runs,
-    Atomic.get total_tiled_runs )
+  (Atomic.get total_par_runs, Atomic.get total_fallback_runs, 0)
+
+(* Every parallel run clones its worker replicas, so the replica count is
+   the parallel-run count. *)
+let replica_builds () = Atomic.get total_par_runs
 
 let reason_totals () : (string * int) list =
   Array.to_list
@@ -1849,9 +1609,7 @@ let compile_count = ref 0
    one's serve stats.  The registry grows by a few words per codegen run
    for the process lifetime, which is noise next to the artifacts
    themselves. *)
-let counter_registry :
-    (int ref * int ref * int ref * int array) list ref =
-  ref []
+let counter_registry : (int ref * int ref * int array) list ref = ref []
 
 (* Process-wide fusion-site totals across every [compile] since [reset]
    (Pipeline.report surfaces them next to the pass table). *)
@@ -1872,7 +1630,6 @@ let compile (fn : func) : compiled =
       par_runs = ref 0;
       fallback_runs = ref 0;
       reasons = Array.make (Array.length reason_labels) 0;
-      tiled_runs = ref 0;
       n_fused = 0;
       n_hoisted = 0;
       n_linear = 0;
@@ -1887,54 +1644,33 @@ let compile (fn : func) : compiled =
   let n_params = List.length fn.fn_params in
   let ni = ctx.n_i and nf = ctx.n_f and nb = ctx.n_b and nbufs = ctx.n_bufs in
   let fname = fn.fn_name in
-  (* The root state is cached on the artifact too: compiled code always
-     writes a slot before reading it (binding sites precede uses on every
-     path), so stale scalar values between runs are unobservable, and the
-     buffer slots are cleared after each run so no user tensor outlives its
-     execution.  [root_busy] keeps concurrent leased drivers correct: the
-     loser of the claim allocates a transient state for that run. *)
-  let root_cache : state option ref = ref None in
-  let root_busy = Atomic.make false in
+  (* Each execution allocates its own root state, so concurrent drivers of
+     one artifact share nothing but the tensors they pass. *)
   let run (args : Tensor.t list) : unit =
     if List.length args <> n_params then
       rerr "run %s: expected %d arguments, got %d" fname n_params
         (List.length args);
-    let claimed = Atomic.compare_and_set root_busy false true in
     let st =
-      match (claimed, !root_cache) with
-      | true, Some st -> st
-      | _ ->
-          let st =
-            {
-              ints = Array.make (max ni 1) 0;
-              floats = Array.make (max nf 1) 0.0;
-              bools = Array.make (max nb 1) false;
-              bufs = Array.make (max nbufs 1) (Lazy.force null_tensor);
-            }
-          in
-          if claimed then root_cache := Some st;
-          st
+      {
+        ints = Array.make (max ni 1) 0;
+        floats = Array.make (max nf 1) 0.0;
+        bools = Array.make (max nb 1) false;
+        bufs = Array.make (max nbufs 1) (Lazy.force null_tensor);
+      }
     in
     List.iteri (fun i t -> st.bufs.(i) <- t) args;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.fill st.bufs 0 (Array.length st.bufs) (Lazy.force null_tensor);
-        if claimed then Atomic.set root_busy false)
-      (fun () -> body st)
+    body st
   in
   total_fused := !total_fused + ctx.n_fused;
   total_hoisted := !total_hoisted + ctx.n_hoisted;
   total_linear := !total_linear + ctx.n_linear;
   counter_registry :=
-    (ctx.par_runs, ctx.fallback_runs, ctx.tiled_runs, ctx.reasons)
-    :: !counter_registry;
+    (ctx.par_runs, ctx.fallback_runs, ctx.reasons) :: !counter_registry;
   {
-    c_name = fname;
     c_run = run;
     c_par_runs = ctx.par_runs;
     c_fallback_runs = ctx.fallback_runs;
     c_reasons = ctx.reasons;
-    c_tiled_runs = ctx.tiled_runs;
     c_fused_sites = ctx.n_fused;
     c_hoisted_sites = ctx.n_hoisted;
     c_linear_sites = ctx.n_linear;
@@ -2000,17 +1736,14 @@ let reset () =
   total_linear := 0;
   Atomic.set total_par_runs 0;
   Atomic.set total_fallback_runs 0;
-  Atomic.set total_tiled_runs 0;
   Atomic.set total_stolen_chunks 0;
-  Atomic.set total_replica_builds 0;
   Array.iter (fun a -> Atomic.set a 0) total_reasons;
   (* per-artifact counters survive the memo (the pipeline cache re-registers
      its artifacts after a reset), so zero them through the registry *)
   List.iter
-    (fun (p, f, t, rs) ->
+    (fun (p, f, rs) ->
       p := 0;
       f := 0;
-      t := 0;
       Array.fill rs 0 (Array.length rs) 0)
     !counter_registry
 

@@ -30,8 +30,6 @@ val run : compiled -> Tir.Tensor.t list -> unit
 (** Execute against tensors for each parameter buffer, in order.  Raises
     [Tir.Eval.Eval_error] on arity mismatch, like [Tir.Eval.run_func]. *)
 
-val name : compiled -> string
-
 val par_runs : compiled -> int
 (** Executions of this artifact's thread-bound outer loops that took the
     domains-parallel path (disjointness proven, [num_domains () > 1]). *)
@@ -45,10 +43,6 @@ val fallback_reasons : compiled -> (string * int) list
     (["indirect"], ["bsearch"], ["non-linear"], ["no-witness"]), in that
     fixed order.  Runtime tensor-fact failures on a gather witness count
     under ["indirect"]. *)
-
-val tiled_runs : compiled -> int
-(** Parallel runs in which at least one narrow output buffer was given
-    per-domain write strips (private copies stitched after the join). *)
 
 val reasons_to_string : (string * int) list -> string
 (** Compact ["label=n,..."] rendering of the nonzero counters; ["-"] when
@@ -91,8 +85,9 @@ val fusion_totals : unit -> int * int * int
     compile since the last {!reset}. *)
 
 val parallel_totals : unit -> int * int * int
-(** Process-wide [(par_runs, fallback_runs, tiled_runs)] across every
-    artifact since the last {!reset}. *)
+(** Process-wide [(par_runs, fallback_runs, 0)] across every artifact since
+    the last {!reset}.  The third slot is always [0]: it stays only for
+    perfbench's tiled-runs row, which reads it. *)
 
 val reason_totals : unit -> (string * int) list
 (** Process-wide fallback counts by reason label, same order as
@@ -104,25 +99,19 @@ val reason_totals : unit -> (string * int) list
     earn a [Par] verdict from {!Tir.Analysis.loop_disjointness} run their
     iterations across a fixed pool of OCaml domains: each domain gets a
     private copy of the slot arrays (tensors stay shared — the witnesses
-    guarantee write regions are disjoint) and runs contiguous iteration
-    chunks handed out by one work-stealing scheduler: each worker owns a
-    contiguous range of units, takes {!chunk_grain}-sized chunks off its
-    low end, and steals the upper half of another worker's range when its
-    own runs dry, so uneven per-iteration costs (variable-nnz rows, hyb
-    buckets) balance at run time.  Units are cache-line-aligned iteration
-    multiples, or monotone-map segments for non-decreasing gathers, so
-    every cut lands on a boundary the output tiling allows; chunks are
-    logged by whichever worker ran them, so outputs stay bit-identical to
-    serial execution.
+    guarantee write regions are disjoint, so every worker writes the
+    shared outputs in place) and runs contiguous iteration chunks handed
+    out by one work-stealing scheduler: each worker owns a contiguous
+    range of units, takes {!chunk_grain}-sized chunks off its low end, and
+    steals the upper half of another worker's range when its own runs dry,
+    so uneven per-iteration costs (variable-nnz rows, hyb buckets) balance
+    at run time.  Units are iterations, or monotone-map segments for
+    non-decreasing gathers, so no output row straddles two workers and
+    outputs stay bit-identical to serial execution.
 
-    The runtime is persistent per artifact: replica states, chunk logs and
-    narrow-output strip copies are cached on each parallel loop site and
-    refreshed by blits on subsequent runs — {!replica_builds} counts the
-    runs that could not reuse them.  A cache is invalidated when the
-    domain count changes, when a runtime tensor-fact check fails, or when
-    the artifact itself is dropped ({!unregister}); concurrent leased
-    drivers executing the same artifact race for the cache and the loser
-    falls back to transient allocations for that run.
+    The engine keeps no state between runs: each execution allocates its
+    own root slot arrays and each parallel run clones them for its worker
+    domains, so leased drivers may execute the same artifact concurrently.
 
     Gather witnesses ([store C[.. map[i] ..]]) are resolved per run against
     the bound map tensor's facts ({!Tir.Tensor.Facts}): injective maps chunk
@@ -131,22 +120,14 @@ val reason_totals : unit -> (string * int) list
     of the map so no output row straddles two domains; unprovable maps fall
     back to serial for that run, counted under the ["indirect"] reason.
 
-    Narrow direct-witness outputs (a whole iteration slab smaller than a
-    cache line) are tiled per domain: workers write private copies whose
-    chunk regions are blitted back into the shared tensor after the join,
-    and the chunk grain is rounded so cuts land on cache-line boundaries —
-    both kill false sharing on adjacent rows.
-
     Unprovable loops fall back to serial execution.  The domain count is read
     per run, so memoized artifacts remain valid when the knob changes. *)
 
-val chunk_grain : n:int -> domains:int -> align:int -> int
+val chunk_grain : n:int -> domains:int -> int
 (** Iterations per chunk a worker takes for an [n]-iteration loop across
     [domains] domains (also the length monotone-gather segments are cut
     at): ceil(n / (4 * domains)) — at most [4 * domains] chunks, never a
-    degenerate 1-iteration flood at small [n] — rounded up to a multiple
-    of [align] and capped at one aligned per-domain share.  Always at least
-    [max 1 align]. *)
+    degenerate 1-iteration flood at small [n].  Always at least [1]. *)
 
 val num_domains : unit -> int
 (** Current domain budget for parallel loops; [1] disables parallelism.
@@ -163,11 +144,9 @@ val pool_size : unit -> int
 (** Worker domains spawned so far (excludes the calling domain). *)
 
 val replica_builds : unit -> int
-(** Parallel runs since the last {!reset} that had to (re)build per-domain
-    replica states instead of reusing an artifact's cached set.  Flat across
-    repeated executions of a warm artifact; increments when the domain
-    budget changes, after a runtime fact failure, or when two leased
-    drivers race for one artifact's cache. *)
+(** Process-wide parallel runs since the last {!reset}: every parallel run
+    builds its worker replicas.  Stays only for perfbench's
+    [engine.replica_builds] row. *)
 
 val stolen_chunks : unit -> int
 (** Steal transfers performed by the chunk scheduler since the last

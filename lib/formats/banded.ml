@@ -22,7 +22,6 @@ let of_csr ~band (c : Csr.t) : t =
         (Csr.to_canon c) }
 
 let n_diags (m : t) = (2 * m.band) + 1
-let padded (m : t) = m.storage.Descriptor.st_padded
 
 let to_dense (m : t) : Dense.t =
   let d = Dense.create m.rows m.cols in

@@ -22,7 +22,6 @@ val of_csr : band:int -> Csr.t -> t
 val n_diags : t -> int
 (** Always 2*band + 1. *)
 
-val padded : t -> int
 val to_dense : t -> Dense.t
 
 val offsets_tensor : t -> Tir.Tensor.t

@@ -17,10 +17,6 @@ type t = {
 val nnzb : t -> int
 val nnz_stored : t -> int
 
-val descriptor : block:int -> rows:int -> cols:int -> Descriptor.t
-(** BSR as a level list: [Blocked block] coordinates under
-    [[dense rows_b; compressed; dense block; dense block]]. *)
-
 val of_csr : block:int -> Csr.t -> t
 
 val of_csr_ref : block:int -> Csr.t -> t

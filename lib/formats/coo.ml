@@ -49,13 +49,6 @@ let to_dense (m : t) : Dense.t =
   Array.iter (fun (i, j, v) -> Dense.set d i j (Dense.get d i j +. v)) m.entries;
   d
 
-let density (m : t) : float =
-  float_of_int (nnz m) /. float_of_int (m.rows * m.cols)
-
-(* Structure-only view: values replaced by 1.0 (adjacency matrices). *)
-let structure (m : t) : t =
-  { m with entries = Array.map (fun (i, j, _) -> (i, j, 1.0)) m.entries }
-
 let transpose (m : t) : t =
   normalize m.cols m.rows (Array.map (fun (i, j, v) -> (j, i, v)) m.entries)
 
@@ -79,6 +72,3 @@ let storage (m : t) : Descriptor.storage =
    ordered-gather dispatch without a runtime scan. *)
 let row_tensor (m : t) : Tir.Tensor.t =
   Descriptor.crd_tensor (storage m) ~level:0
-
-let data_tensor ?(dtype = Tir.Dtype.F32) (m : t) : Tir.Tensor.t =
-  Descriptor.vals_tensor ~dtype (storage m)

@@ -16,9 +16,6 @@ type t = {
 val nnz : t -> int
 val nnz_fibers : t -> int
 
-val descriptor : dim_i:int -> dim_j:int -> dim_k:int -> Descriptor.t
-(** CSF as a level list: [[dense I; compressed; compressed]]. *)
-
 val of_entries : dim_i:int -> dim_j:int -> dim_k:int -> (int * int * int * float) list -> t
 
 val of_entries_ref :

@@ -13,10 +13,6 @@ val nnz : t -> int
 val row_len : t -> int -> int
 val density : t -> float
 
-val descriptor : rows:int -> cols:int -> Descriptor.t
-(** CSR as a level list: [[dense rows; compressed]] over identity
-    coordinates (DESIGN.md §3g). *)
-
 val of_coo : Coo.t -> t
 (** Descriptor-derived construction: robust to arbitrary entry order and
     duplicates (the canonical intermediate sorts and sums; binary searches

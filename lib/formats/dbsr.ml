@@ -104,6 +104,3 @@ let indptr_tensor (m : t) : Tir.Tensor.t =
   in
   Tir.Tensor.Facts.declare t Tir.Tensor.Facts.Monotone_nd;
   t
-
-let indices_tensor (m : t) : Tir.Tensor.t = Bsr.indices_tensor m.base
-let data_tensor ?dtype (m : t) : Tir.Tensor.t = Bsr.data_tensor ?dtype m.base

@@ -8,11 +8,6 @@ type t = {
   nrows_b : int;
 }
 
-val descriptor : block:int -> rows:int -> cols:int -> Descriptor.t
-(** DBSR as a level list: [Blocked block] coordinates under
-    [[compressed; compressed; dense block; dense block]] — the root
-    compressed level is the block-row id map. *)
-
 val of_csr : block:int -> Csr.t -> t
 
 val of_csr_ref : block:int -> Csr.t -> t
@@ -28,6 +23,3 @@ val row_ids_tensor : t -> Tir.Tensor.t
 val indptr_tensor : t -> Tir.Tensor.t
 (** The compressed indptr over stored block rows (nrows_b + 1 entries);
     declared [Monotone_nd]. *)
-
-val indices_tensor : t -> Tir.Tensor.t
-val data_tensor : ?dtype:Tir.Dtype.t -> t -> Tir.Tensor.t

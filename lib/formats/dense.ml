@@ -61,6 +61,3 @@ let max_abs_diff (a : t) (b : t) : float =
 
 let to_tensor (m : t) : Tir.Tensor.t =
   Tir.Tensor.of_float_array [ m.rows; m.cols ] (Array.copy m.data)
-
-let scale (m : t) (s : float) : t =
-  { m with data = Array.map (fun x -> x *. s) m.data }

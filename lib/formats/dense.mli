@@ -17,4 +17,3 @@ val matmul : t -> t -> t
 val transpose : t -> t
 val max_abs_diff : t -> t -> float
 val to_tensor : t -> Tir.Tensor.t
-val scale : t -> float -> t

@@ -3,9 +3,9 @@
     derived —
 
     - {!build}: construction from a canonical sorted/merged coordinate
-      intermediate ({!canon}), one shared pipeline replacing the per-format
+      intermediate, one shared pipeline replacing the per-format
       bucket/sort/partition code;
-    - {!pos_tensor} / {!crd_tensor} / {!vals_tensor}: the {!Tir.Tensor} set
+    - {!crd_tensor} / {!vals_tensor}: the {!Tir.Tensor} set
       with {!Tir.Tensor.Facts} declarations read off the level properties
       (position arrays are non-decreasing by construction; root coordinate
       arrays get the fact of their effective ordered/unique properties), so
@@ -52,10 +52,6 @@ type canon = {
   cn_dims : int array;
   cn_entries : (int array * float) array;
 }
-
-val canon : dims:int array -> (int array * float) array -> canon
-(** Shared sort/merge pipeline (stable sort; duplicates summed left to
-    right in sorted order). *)
 
 val canon2 : rows:int -> cols:int -> (int * int * float) array -> canon
 (** Matrix convenience over [canon]; validates coordinate ranges. *)
@@ -108,10 +104,6 @@ val build_rows :
     entries keep their given order. *)
 
 (** {1 Derived tensor accessors (the uniform accessor set)} *)
-
-val pos_tensor : storage -> level:int -> Tir.Tensor.t
-(** The level's position (indptr-style) tensor; declares [Monotone_nd].
-    Raises [Invalid_argument] if the level stores no positions. *)
 
 val crd_tensor : storage -> level:int -> Tir.Tensor.t
 (** The level's coordinate tensor, padded to at least one element like the

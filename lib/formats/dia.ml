@@ -72,19 +72,3 @@ let to_dense (m : t) : Dense.t =
       done)
     m.offsets;
   d
-
-(* Offsets are distinct and ascending by construction, so the strictly
-   increasing fact is declared rather than scanned. *)
-let offsets_tensor (m : t) : Tir.Tensor.t =
-  let t =
-    Tir.Tensor.of_int_array
-      [ max 1 (n_diags m) ]
-      (if n_diags m = 0 then [| 0 |] else Array.copy m.offsets)
-  in
-  Tir.Tensor.Facts.declare t Tir.Tensor.Facts.Monotone_inc;
-  t
-
-let data_tensor ?(dtype = Tir.Dtype.F32) (m : t) : Tir.Tensor.t =
-  Tir.Tensor.of_float_array ~dtype
-    [ max 1 (Array.length m.data) ]
-    (Array.copy m.data)

@@ -12,10 +12,6 @@ type t = {
 
 val n_diags : t -> int
 
-val descriptor : rows:int -> cols:int -> Descriptor.t
-(** DIA as a level list: [Diagonal] coordinates under
-    [[offset; dense rows]]. *)
-
 val of_csr : Csr.t -> t
 
 val of_csr_ref : Csr.t -> t
@@ -23,8 +19,3 @@ val of_csr_ref : Csr.t -> t
     benchmark). *)
 
 val to_dense : t -> Dense.t
-
-val offsets_tensor : t -> Tir.Tensor.t
-(** Diagonal offsets, ascending and distinct: declared [Monotone_inc]. *)
-
-val data_tensor : ?dtype:Tir.Dtype.t -> t -> Tir.Tensor.t

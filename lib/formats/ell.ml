@@ -16,8 +16,6 @@ type t = {
   padded : int;          (* number of padded slots *)
 }
 
-let nnz_stored (m : t) = m.rows * m.width
-
 let original_row (m : t) (r : int) : int =
   match m.row_map with Some map -> map.(r) | None -> r
 

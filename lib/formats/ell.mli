@@ -12,11 +12,6 @@ type t = {
   padded : int;
 }
 
-val nnz_stored : t -> int
-
-val descriptor : rows:int -> cols:int -> Descriptor.t
-(** ELL as a level list: [[dense rows; fixed_slice (Fit max_int)]]. *)
-
 val of_csr : Csr.t -> t
 
 val of_csr_ref : Csr.t -> t

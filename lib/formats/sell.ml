@@ -23,7 +23,6 @@ let of_csr ?(slice = 32) (c : Csr.t) : t =
         (Csr.to_canon c) }
 
 let slots (m : t) = m.storage.Descriptor.st_levels.(1)
-let nnz_stored (m : t) = (slots m).Descriptor.ld_count
 let padded (m : t) = m.storage.Descriptor.st_padded
 
 let pos (m : t) : int array =
@@ -47,9 +46,6 @@ let to_dense (m : t) : Dense.t =
     done
   done;
   d
-
-let indices_tensor (m : t) : Tir.Tensor.t =
-  Descriptor.crd_tensor m.storage ~level:1
 
 let data_tensor ?dtype (m : t) : Tir.Tensor.t =
   Descriptor.vals_tensor ?dtype m.storage

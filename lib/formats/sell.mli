@@ -17,17 +17,11 @@ val descriptor : slice:int -> rows:int -> cols:int -> Descriptor.t
 val of_csr : ?slice:int -> Csr.t -> t
 (** Default slice height 32. *)
 
-val nnz_stored : t -> int
-(** Stored slots (including padding). *)
-
 val padded : t -> int
 
 val width_of : t -> int -> int
 (** Stored width of a row's slice. *)
 
 val to_dense : t -> Dense.t
-
-val indices_tensor : t -> Tir.Tensor.t
-(** Stored column ids; padded slots point at column 0 with value 0.0. *)
 
 val data_tensor : ?dtype:Tir.Dtype.t -> t -> Tir.Tensor.t

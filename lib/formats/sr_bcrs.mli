@@ -18,12 +18,6 @@ type t = {
 
 val n_groups : t -> int
 val n_tiles : t -> int
-val nnz_stored : t -> int
-
-val descriptor :
-  tile:int -> group:int -> rows:int -> cols:int -> Descriptor.t
-(** SR-BCRS as a level list: [Row_tiled tile] coordinates under
-    [[dense strips; compressed ~group ~panel:true; dense tile]]. *)
 
 val of_csr : tile:int -> group:int -> Csr.t -> t
 

@@ -26,9 +26,6 @@ type t = {
       (** mean per-row column span / cols — row spread *)
 }
 
-val block : int
-(** Column-block width of the block-density probe. *)
-
 val of_csr : Csr.t -> t
 (** One O(nnz + rows log rows) pass; every field is a per-row aggregate,
     so the result is invariant under row permutation. *)

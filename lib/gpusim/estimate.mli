@@ -26,9 +26,6 @@ val ideal : workload
 (** Zero work, one launch, perfect balance — the starting point for
     [{ ideal with ... }] construction. *)
 
-val block_schedule_cycles : float
-
-val cycles : Spec.t -> workload -> float
 val time_ms : Spec.t -> workload -> float
 
 val stream_lines : Spec.t -> bytes:float -> reuse:float -> workload -> workload

@@ -10,8 +10,6 @@ type compiled = {
   out : Tir.Tensor.t;
 }
 
-val bindings_of : Csf.t -> Dense.t -> Dense.t -> Gpusim.bindings * Tir.Tensor.t
-
 val mttkrp : Csf.t -> Dense.t -> Dense.t -> compiled
 (** Y[i,r] = sum over (j,k) of T[i,j,k] B[j,r] C[k,r], rows across blocks,
     rank across threads, register accumulation over both reductions. *)

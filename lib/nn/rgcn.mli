@@ -22,10 +22,6 @@ type t = {
 val execute : ?engine:Engine.kind -> t -> unit
 val profile : Gpusim.Spec.t -> t -> Gpusim.profile
 
-val layer :
-  system -> Formats.Csr.t array -> Formats.Dense.t -> Formats.Dense.t array ->
-  Kernels.Rgms.compiled
-
 val inference :
   system -> Workloads.Hetero.t -> feat:int -> ?seed:int -> unit -> t
 

@@ -285,12 +285,11 @@ let report () : string =
       strength-reduced offsets across %d compiles\n"
      (if Engine.fusion () then "on" else "off")
      fused hoisted linear (Engine.compiles ()));
-  (let par, fb, tiled = Engine.parallel_totals () in
+  (let par, fb, _ = Engine.parallel_totals () in
    if par + fb > 0 then
-     Printf.bprintf b
-       "engine parallel: %d parallel runs (%d tiled), %d serial fallbacks \
-        (%s)\n"
-       par tiled fb
+     Printf.bprintf b "engine parallel: %d parallel runs, %d serial fallbacks \
+                       (%s)\n"
+       par fb
        (Engine.reasons_to_string (Engine.reason_totals ())));
   List.iter (fun h -> Buffer.add_string b (h ())) (List.rev !report_hooks);
   let order = ref [] in

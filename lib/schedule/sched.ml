@@ -221,7 +221,6 @@ let vectorize (s : t) ~(loop : string) : unit =
   set_kind s ~loop Vectorized
 
 let unroll (s : t) ~(loop : string) : unit = set_kind s ~loop Unrolled
-let parallel (s : t) ~(loop : string) : unit = set_kind s ~loop Parallel
 
 (* ------------------------------------------------------------------ *)
 (* Block lookup                                                        *)

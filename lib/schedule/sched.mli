@@ -49,7 +49,6 @@ val vectorize : t -> loop:string -> unit
 (** Requires a constant extent of at most 8 lanes. *)
 
 val unroll : t -> loop:string -> unit
-val parallel : t -> loop:string -> unit
 
 (** {1 Helpers for block-level primitives} *)
 

@@ -554,7 +554,7 @@ let replace_exprs ?(into_block_binds = true) (subs : (expr * expr) list)
    (injectivity / monotonicity, established at run time by
    [Tensor.Facts.holds]) make the scatter conflict-free. *)
 type witness =
-  | W_direct of { dim : int; coeff : int; arity : int option }
+  | W_direct of { dim : int; coeff : int }
   | W_gather of { dim : int; coeff : int; scale : int; map : buffer }
 
 type fail_reason =
@@ -742,7 +742,7 @@ let loop_disjointness (x : var) (body : stmt) : verdict =
          (fun d e ->
            match linear_in x e with
            | Some (c, rest) when c > 0 && bounded_in ienv rest ~below:c ->
-               [ (d, W_direct { dim = d; coeff = c; arity = None }) ]
+               [ (d, W_direct { dim = d; coeff = c }) ]
            | Some _ -> []
            | None ->
                List.concat_map
@@ -766,8 +766,8 @@ let loop_disjointness (x : var) (body : stmt) : verdict =
                  (List.sort_uniq compare (load_subterms e)))
          idx)
   in
-  (* Witness equality for the cross-access intersection: the arity slot of a
-     direct witness is resolved afterwards, everything else must agree. *)
+  (* Witness equality for the cross-access intersection (map buffers
+     compare by id). *)
   let same_witness (a : witness) (b : witness) =
     match (a, b) with
     | W_direct da, W_direct db -> da.dim = db.dim && da.coeff = db.coeff
@@ -818,20 +818,9 @@ let loop_disjointness (x : var) (body : stmt) : verdict =
               | None -> (
                   match surviving with w :: _ -> Some w | [] -> None)
             in
-            (match chosen with
+            match chosen with
             | None -> raise (Not_disjoint (classify_failure accs))
-            | Some (_, W_direct dw) ->
-                (* the executor can only tile dimension-contiguous strips
-                   when every access spells the index the same way *)
-                let arities =
-                  List.sort_uniq compare
-                    (List.map (fun (idx, _) -> List.length idx) accs)
-                in
-                let arity =
-                  match arities with [ n ] -> Some n | _ -> None
-                in
-                out := (b, W_direct { dw with arity }) :: !out
-            | Some (_, w) -> out := (b, w) :: !out))
+            | Some (_, w) -> out := (b, w) :: !out)
       written;
     Par !out
   with Not_disjoint r -> Serial r

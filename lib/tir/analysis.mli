@@ -93,12 +93,9 @@ val replace_exprs :
 (** {1 Write-disjointness} *)
 
 type witness =
-  | W_direct of { dim : int; coeff : int; arity : int option }
+  | W_direct of { dim : int; coeff : int }
       (** The [dim]-th index of every access is [coeff * x + rest] with
-          [rest] in [[0, coeff)]: distinct iterations touch disjoint slabs.
-          [arity] is the common index-list length of the accesses when they
-          all agree ([None] otherwise); the executor needs it to tile
-          dimension-0 output strips. *)
+          [rest] in [[0, coeff)]: distinct iterations touch disjoint slabs. *)
   | W_gather of { dim : int; coeff : int; scale : int; map : Ir.buffer }
       (** The [dim]-th index of every access is
           [scale * map[coeff * x + r] + rest] with [r] in [[0, coeff)] and

@@ -23,7 +23,6 @@ let fvar name : var = var ~dtype:Dtype.F32 name
 
 let int n = Int_imm n
 let float x = Float_imm x
-let bool b = Bool_imm b
 let v (x : var) = Evar x
 
 let rec ( +: ) a b =
@@ -88,17 +87,13 @@ let max_ a b =
   | _ -> Binop (Max, a, b)
 
 let ( =: ) a b = Binop (Eq, a, b)
-let ( <>: ) a b = Binop (Ne, a, b)
 let ( <: ) a b = Binop (Lt, a, b)
-let ( <=: ) a b = Binop (Le, a, b)
 let ( >: ) a b = Binop (Gt, a, b)
 let ( >=: ) a b = Binop (Ge, a, b)
 let ( &&: ) a b = Binop (And, a, b)
-let ( ||: ) a b = Binop (Or, a, b)
 let exp_ a = Unop (Exp, a)
 let select c t f = Select (c, t, f)
 let cast dt e = Cast (dt, e)
-let f16 e = Cast (Dtype.F16, e)
 let f32 e = Cast (Dtype.F32, e)
 
 (* Ceiling division on expressions: (a + b - 1) // b *)

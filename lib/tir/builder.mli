@@ -22,7 +22,6 @@ val fvar : string -> Ir.var
 
 val int : int -> Ir.expr
 val float : float -> Ir.expr
-val bool : bool -> Ir.expr
 val v : Ir.var -> Ir.expr
 
 val ( +: ) : Ir.expr -> Ir.expr -> Ir.expr
@@ -39,17 +38,13 @@ val ( %^ ) : Ir.expr -> Ir.expr -> Ir.expr
 val min_ : Ir.expr -> Ir.expr -> Ir.expr
 val max_ : Ir.expr -> Ir.expr -> Ir.expr
 val ( =: ) : Ir.expr -> Ir.expr -> Ir.expr
-val ( <>: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( <: ) : Ir.expr -> Ir.expr -> Ir.expr
-val ( <=: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( >: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( >=: ) : Ir.expr -> Ir.expr -> Ir.expr
 val ( &&: ) : Ir.expr -> Ir.expr -> Ir.expr
-val ( ||: ) : Ir.expr -> Ir.expr -> Ir.expr
 val exp_ : Ir.expr -> Ir.expr
 val select : Ir.expr -> Ir.expr -> Ir.expr -> Ir.expr
 val cast : Dtype.t -> Ir.expr -> Ir.expr
-val f16 : Ir.expr -> Ir.expr
 val f32 : Ir.expr -> Ir.expr
 
 val ceil_div : Ir.expr -> Ir.expr -> Ir.expr

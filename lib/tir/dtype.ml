@@ -36,8 +36,6 @@ let to_string = function
   | F64 -> "float64"
   | Bool -> "bool"
 
-let equal (a : t) (b : t) = a = b
-
 (* Round a float through IEEE half precision.  Used when storing into an F16
    buffer so that repeated accumulation exhibits half-precision behaviour. *)
 let round_f16 (x : float) : float =

@@ -12,7 +12,6 @@ val size_bytes : t -> int
 val is_float : t -> bool
 val is_int : t -> bool
 val to_string : t -> string
-val equal : t -> t -> bool
 
 val round_f16 : float -> float
 (** Round through IEEE half precision (round-to-nearest-even, overflow to

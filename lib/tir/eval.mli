@@ -16,8 +16,6 @@ type value =
 exception Eval_error of string
 
 val to_i : value -> int
-val to_f : value -> float
-val to_b : value -> bool
 
 type env = {
   vars : (int, value) Hashtbl.t;

@@ -120,30 +120,8 @@ let to_int_array (t : t) : int array = Array.init (numel t) (fun i -> get_i t i)
 (* One version bump covering a whole in-place patch batch: the delta path
    writes the underlying arrays directly (not through [set_f]/[set_i], which
    would bump once per element) and stamps the tensor exactly once, so the
-   facts/replica machinery observes one invalidation per batch. *)
+   facts machinery observes one invalidation per batch. *)
 let touch (t : t) : unit = t.version <- t.version + 1
-
-(* Copy the flat range [pos, pos+len) of [src] into the same positions of
-   [dst].  Both tensors must use the same storage representation (the
-   parallel executor blits between a tensor and its [copy]). *)
-let blit ~(src : t) ~(dst : t) ~(pos : int) ~(len : int) : unit =
-  dst.version <- dst.version + 1;
-  match (src.data, dst.data) with
-  | F a, F b -> Array.blit a pos b pos len
-  | I a, I b -> Array.blit a pos b pos len
-  | B a, B b -> Array.blit a pos b pos len
-  | _ -> invalid_arg "Tensor.blit: mismatched storage representations"
-
-(* Maximum |a - b| over all elements; both tensors must have equal numel. *)
-let max_abs_diff (a : t) (b : t) : float =
-  let n = numel a in
-  if numel b <> n then invalid_arg "Tensor.max_abs_diff: size mismatch";
-  let worst = ref 0.0 in
-  for i = 0 to n - 1 do
-    let d = Float.abs (get_f a i -. get_f b i) in
-    if d > !worst then worst := d
-  done;
-  !worst
 
 let bytes (t : t) : int = numel t * Dtype.size_bytes t.dtype
 

@@ -14,7 +14,7 @@ type t = {
   id : int;  (** process-unique identity; {!copy} allocates a fresh one *)
   mutable version : int;
       (** mutation stamp, bumped by every write ({!set_f}, {!set_i},
-          {!fill_f}, {!blit}); {!Facts} memoizes scans against it *)
+          {!fill_f}, {!touch}); {!Facts} memoizes scans against it *)
 }
 
 val numel : t -> int
@@ -55,17 +55,8 @@ val copy : ?keep_facts:bool -> t -> t
 val touch : t -> unit
 (** Bump the mutation version once.  The delta path patches the underlying
     arrays directly and calls [touch] exactly once per edit batch, so the
-    facts/replica machinery observes a single invalidation instead of one
+    facts machinery observes a single invalidation instead of one
     per element. *)
-
-val blit : src:t -> dst:t -> pos:int -> len:int -> unit
-(** Copy the flat range [[pos, pos+len)] of [src] into the same positions of
-    [dst].  Both tensors must use the same storage representation; the
-    parallel executor uses this to stitch per-domain write strips back into
-    the shared output after a join. *)
-
-val max_abs_diff : t -> t -> float
-(** Maximum elementwise |a - b|; sizes must match. *)
 
 val bytes : t -> int
 (** Storage size in bytes (used for memory-footprint accounting). *)

@@ -19,8 +19,6 @@ type spec = {
 val table1 : spec list
 (** Scaled stand-ins for the seven graphs of Table 1. *)
 
-val find_spec : string -> spec
-
 val generate : ?seed:int -> spec -> Csr.t
 (** Configuration-model adjacency with skewed column popularity. *)
 

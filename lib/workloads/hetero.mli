@@ -11,9 +11,6 @@ type spec = {
   h_etypes : int;
 }
 
-val table2 : spec list
-val find_spec : string -> spec
-
 type t = {
   spec : spec;
   relations : Csr.t array; (** one n x n adjacency per edge type *)

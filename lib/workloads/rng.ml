@@ -29,33 +29,3 @@ let normal (g : t) : float =
 (* Pareto-tailed value with exponent alpha, min value xmin. *)
 let pareto (g : t) ~(alpha : float) ~(xmin : float) : float =
   xmin /. Float.pow (Float.max 1e-12 (1.0 -. float g)) (1.0 /. alpha)
-
-let shuffle (g : t) (a : 'a array) : unit =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-(* sample [k] distinct ints from [0, n); k <= n *)
-let distinct (g : t) ~(n : int) ~(k : int) : int array =
-  if k * 3 >= n then begin
-    let all = Array.init n Fun.id in
-    shuffle g all;
-    Array.sub all 0 (min k n)
-  end
-  else begin
-    let seen = Hashtbl.create (2 * k) in
-    let out = Array.make k 0 in
-    let filled = ref 0 in
-    while !filled < k do
-      let x = int g n in
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.replace seen x ();
-        out.(!filled) <- x;
-        incr filled
-      end
-    done;
-    out
-  end

@@ -8,5 +8,3 @@ val int : t -> int -> int
 val float : t -> float
 val normal : t -> float
 val pareto : t -> alpha:float -> xmin:float -> float
-val shuffle : t -> 'a array -> unit
-val distinct : t -> n:int -> k:int -> int array

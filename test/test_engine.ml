@@ -369,25 +369,20 @@ let test_cache_reseeds_memo () =
 (* ---------------- domains-parallel dispatch ---------------- *)
 
 (* Chunk grain: never zero (no empty chunks), never a 1-iteration flood when
-   n < 4 * domains, at most 4 * domains chunks, and alignment is respected
-   without overshooting the per-domain share. *)
+   n < 4 * domains, and at most 4 * domains chunks. *)
 let test_chunk_grain () =
   Alcotest.(check int) "n=0 degenerates to 1" 1
-    (Engine.chunk_grain ~n:0 ~domains:4 ~align:1);
-  Alcotest.(check int) "n=1" 1 (Engine.chunk_grain ~n:1 ~domains:8 ~align:1);
+    (Engine.chunk_grain ~n:0 ~domains:4);
+  Alcotest.(check int) "n=1" 1 (Engine.chunk_grain ~n:1 ~domains:8);
   for n = 1 to 64 do
     for d = 1 to 8 do
-      let g = Engine.chunk_grain ~n ~domains:d ~align:1 in
+      let g = Engine.chunk_grain ~n ~domains:d in
       if g < 1 then Alcotest.failf "grain %d for n=%d d=%d" g n d;
       let chunks = (n + g - 1) / g in
       if chunks > 4 * d then
         Alcotest.failf "%d chunks (> 4d) for n=%d d=%d grain=%d" chunks n d g
     done
-  done;
-  Alcotest.(check int) "small n rounds up to align" 8
-    (Engine.chunk_grain ~n:5 ~domains:4 ~align:8);
-  Alcotest.(check int) "large n stays aligned" 0
-    (Engine.chunk_grain ~n:1000 ~domains:4 ~align:16 mod 16)
+  done
 
 (* A blockIdx loop accumulating through C[M[i]] earns a gather witness; the
    runtime decision then hangs on the bound map tensor's facts. *)
@@ -567,29 +562,31 @@ let test_format_facts_no_scan () =
   Alcotest.(check bool) "mttkrp ran parallel" true (Engine.par_runs art >= 1);
   Alcotest.(check int) "mttkrp never fell back" 0 (Engine.fallback_runs art)
 
-(* Narrow accumulator (one f32 per iteration, far below a cache line): the
-   executor must give each domain a private write strip and stitch the
-   chunks back bit-identically.  Extents run from a single iteration (never
-   parallel) through loops with fewer 16-iteration cache-line units than
-   domains up to many units per domain. *)
-let test_narrow_output_strips () =
+(* Narrow accumulator (one f32 per iteration, far below a cache line),
+   written in place by every worker.  Extents run from a single iteration
+   (never parallel) through loops with fewer iterations than domains up to
+   many chunks per domain. *)
+let narrow_fn n =
   let open Tir in
   let open Builder in
+  let a_buf = buffer ~dtype:Dtype.F32 "A" [ int n ] in
+  let c_buf = buffer ~dtype:Dtype.F32 "C" [ int n ] in
+  func
+    (Printf.sprintf "eng_narrow_%d" n)
+    [ a_buf; c_buf ]
+    (for_ ~kind:(Ir.Thread_bind Ir.Block_x) "i" (int n) (fun i ->
+         store c_buf [ i ] (load c_buf [ i ] +: load a_buf [ i ])))
+
+let narrow_seed n = Array.init n (fun i -> float_of_int (i * 7 mod 13))
+
+let test_narrow_outputs () =
+  let open Tir in
   List.iter
     (fun n ->
-      let a_buf = buffer ~dtype:Dtype.F32 "A" [ int n ] in
-      let c_buf = buffer ~dtype:Dtype.F32 "C" [ int n ] in
-      let fn =
-        func
-          (Printf.sprintf "eng_narrow_strips_%d" n)
-          [ a_buf; c_buf ]
-          (for_ ~kind:(Ir.Thread_bind Ir.Block_x) "i" (int n) (fun i ->
-               store c_buf [ i ] (load c_buf [ i ] +: load a_buf [ i ])))
-      in
+      let fn = narrow_fn n in
       let a = Tensor.of_float_array [ n ] (Array.init n float_of_int) in
-      let seed = Array.init n (fun i -> float_of_int (i * 7 mod 13)) in
       let run nd =
-        let c = Tensor.of_float_array [ n ] (Array.copy seed) in
+        let c = Tensor.of_float_array [ n ] (narrow_seed n) in
         Engine.execute ~kind:Engine.Compiled ~num_domains:nd fn [ a; c ];
         Tensor.to_float_array c
       in
@@ -597,17 +594,11 @@ let test_narrow_output_strips () =
       List.iter
         (fun nd ->
           let label = Printf.sprintf "n=%d d=%d" n nd in
-          let art = Engine.artifact fn in
-          let tiled0 = Engine.tiled_runs art in
           let parallel = run nd in
-          Alcotest.(check bool)
-            (label ^ ": strips engaged iff parallel")
-            (n > 1)
-            (Engine.tiled_runs art > tiled0);
           Alcotest.(check int) (label ^ ": no fallback") 0
-            (Engine.fallback_runs art);
+            (Engine.fallback_runs (Engine.artifact fn));
           Alcotest.(check bool)
-            (label ^ ": stitched result bit-identical")
+            (label ^ ": result bit-identical")
             true (serial = parallel))
         [ 2; 4 ])
     [ 1; 3; 5; 17; 256 ]
@@ -678,44 +669,6 @@ let test_parallel_tasks () =
         leases (Engine.leases_in_use ()))
     [ 1; 2; 4 ]
 
-(* Persistent parallel runtime: once an artifact has run at a domain count,
-   repeated executes reuse its cached replica states (zero rebuilds); a
-   domain-count change rebuilds once, and unregistering the artifact drops
-   the cache with it. *)
-let test_replica_reuse () =
-  let open Tir in
-  let n = 256 in
-  let fn = gather_fn "eng_replica_reuse" n in
-  let m = Tensor.of_int_array [ n ] (Array.init n Fun.id) in
-  let a = Tensor.of_float_array [ n ] (Array.make n 1.0) in
-  let c = Tensor.create Dtype.F32 [ n ] in
-  let exec nd =
-    Engine.execute ~kind:Engine.Compiled ~num_domains:nd fn [ m; a; c ]
-  in
-  exec 4;
-  let art = Engine.artifact fn in
-  Alcotest.(check bool) "warmup ran parallel" true (Engine.par_runs art >= 1);
-  let b0 = Engine.replica_builds () in
-  for _ = 1 to 8 do
-    exec 4
-  done;
-  Alcotest.(check int) "warm runs allocate no replicas" 0
-    (Engine.replica_builds () - b0);
-  exec 2;
-  Alcotest.(check bool) "domain-count change rebuilds" true
-    (Engine.replica_builds () > b0);
-  exec 4;
-  let b1 = Engine.replica_builds () in
-  for _ = 1 to 4 do
-    exec 4
-  done;
-  Alcotest.(check int) "warm again after the switch back" 0
-    (Engine.replica_builds () - b1);
-  Engine.unregister fn;
-  exec 4;
-  Alcotest.(check bool) "unregister drops the cache" true
-    (Engine.replica_builds () > b1)
-
 (* Skewed hyb input (one dense row split into many pseudo-rows over a tail
    of short rows): the bucket loops take the work-stealing scheduler
    (gather witnesses always do).  Outputs must stay bit-identical to the
@@ -784,6 +737,52 @@ let test_fallback_needs_budget () =
   Alcotest.(check (float 0.0)) "both runs accumulated exactly"
     (float_of_int (2 * n))
     (Tensor.to_float_array c).(0)
+
+(* Two leased drivers executing the same two artifacts at once, each into
+   its own outputs: runs share nothing but their input tensors, so every
+   output matches a 1-domain run and every run counts once in the atomic
+   process totals. *)
+let test_concurrent_drivers () =
+  let open Tir in
+  let n = 256 and runs = 20 in
+  (* compiled here, on the main domain: the artifact memo is not locked *)
+  let narrow = Engine.artifact (narrow_fn n) in
+  let gather = Engine.artifact (gather_fn "eng_two_drivers_gather" n) in
+  let m = Tensor.of_int_array [ n ] (Array.init n (fun i -> n - 1 - i)) in
+  let a = Tensor.of_float_array [ n ] (Array.init n float_of_int) in
+  let exec () =
+    let c_narrow = Tensor.of_float_array [ n ] (narrow_seed n) in
+    let c_gather = Tensor.create Dtype.F32 [ n ] in
+    Engine.run narrow [ a; c_narrow ];
+    Engine.run gather [ m; a; c_gather ];
+    (Tensor.to_float_array c_narrow, Tensor.to_float_array c_gather)
+  in
+  let saved = Engine.num_domains () in
+  Fun.protect ~finally:(fun () -> Engine.set_num_domains saved) @@ fun () ->
+  Engine.set_num_domains 1;
+  let expected = exec () in
+  Engine.set_num_domains 4;
+  let par0, _, _ = Engine.parallel_totals () in
+  let driver () =
+    let l = Option.get (Engine.try_lease ~width:2) in
+    Fun.protect
+      ~finally:(fun () -> Engine.release l)
+      (fun () ->
+        Engine.run_leased l (fun () -> List.init runs (fun _ -> exec ())))
+  in
+  let outs =
+    List.concat_map Domain.join (List.init 2 (fun _ -> Domain.spawn driver))
+  in
+  List.iteri
+    (fun i out ->
+      Alcotest.(check bool)
+        (Printf.sprintf "run %d bit-identical to 1 domain" i)
+        true (out = expected))
+    outs;
+  let par1, _, _ = Engine.parallel_totals () in
+  Alcotest.(check int) "every run parallel, counted once" (2 * 2 * runs)
+    (par1 - par0);
+  Alcotest.(check int) "leases released" 0 (Engine.leases_in_use ())
 
 (* ---------------- specialized buffer access ---------------- *)
 
@@ -1158,18 +1157,18 @@ let () =
             test_reset_zeroes_reregistered_counters;
           Alcotest.test_case "hyb buckets: parallel, no fallback" `Quick
             test_hyb_parallel_no_fallback;
-          Alcotest.test_case "narrow output strips stitch exactly" `Quick
-            test_narrow_output_strips;
+          Alcotest.test_case "narrow outputs written in place" `Quick
+            test_narrow_outputs;
           Alcotest.test_case "parallel tasks run each index once" `Quick
             test_parallel_tasks;
           Alcotest.test_case "declared format facts: no scans, no fallback"
             `Quick test_format_facts_no_scan;
-          Alcotest.test_case "replica cache: reuse and invalidation" `Quick
-            test_replica_reuse;
           Alcotest.test_case "work stealing: skewed hyb bit-identical" `Quick
             test_stealing_skewed_bit_identical;
           Alcotest.test_case "fallbacks count only with a budget" `Quick
-            test_fallback_needs_budget ] );
+            test_fallback_needs_budget;
+          Alcotest.test_case "two drivers share one artifact" `Quick
+            test_concurrent_drivers ] );
       ( "access",
         [ Alcotest.test_case "out-of-range loads read 0" `Quick test_oob_loads;
           Alcotest.test_case "rank-mismatched binding reads 0" `Quick
