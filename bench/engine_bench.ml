@@ -179,8 +179,8 @@ let run ?(full = false) () =
   @@ fun () ->
   let budget = if full then 0.5 else 0.05 in
   let rows = ref [] and speedups = ref [] in
-  Printf.printf "%-20s %14s %14s %9s %17s  %s\n" "kernel" "interp ns/it"
-    "compiled ns/it" "speedup" "fused/hoist/lin" "fb reasons";
+  Printf.printf "%-20s %14s %14s %9s %12s  %s\n" "kernel" "interp ns/it"
+    "compiled ns/it" "speedup" "fused/hoist" "fb reasons";
   List.iter
     (fun c ->
       let interp_ns, compiled_ns =
@@ -197,14 +197,12 @@ let run ?(full = false) () =
       Engine.set_num_domains 1;
       (* the compiled leg's warm-up forced codegen, so the memoized artifacts
          carry this kernel's fusion-site counters *)
-      let fused, hoisted, linear =
+      let fused, hoisted =
         List.fold_left
-          (fun (f, h, l) fn ->
+          (fun (f, h) fn ->
             let a = Engine.artifact fn in
-            ( f + Engine.fused_sites a,
-              h + Engine.hoisted_sites a,
-              l + Engine.linear_sites a ))
-          (0, 0, 0) c.ck_fns
+            (f + Engine.fused_sites a, h + Engine.hoisted_sites a))
+          (0, 0) c.ck_fns
       in
       let reasons =
         List.fold_left
@@ -217,8 +215,8 @@ let run ?(full = false) () =
                                         "no-witness" ])
           c.ck_fns
       in
-      Printf.printf "%-20s %14.0f %14.0f %8.2fx %7d/%4d/%4d  %s\n%!" c.ck_name
-        interp_ns compiled_ns speedup fused hoisted linear
+      Printf.printf "%-20s %14.0f %14.0f %8.2fx %7d/%4d  %s\n%!" c.ck_name
+        interp_ns compiled_ns speedup fused hoisted
         (Engine.reasons_to_string reasons);
       speedups := speedup :: !speedups;
       rows :=

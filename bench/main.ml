@@ -164,34 +164,34 @@ let () =
      correctness run in the harness (the engine experiment still times both);
      --domains=N sets the engine's domain budget (0 = auto, same convention
      as Engine.set_num_domains — the single clamp) and the parallel bench's
-     parallel leg; --fusion=on|off toggles the engine's closure-fusion
-     peephole for every compile in the run *)
-  let domains = ref None and unknown = ref [] in
+     parallel leg.  An unknown argument or a malformed flag value prints the
+     usage and exits 2. *)
+  let domains = ref None and bad = ref [] in
   List.iter
     (fun a ->
       match String.index_opt a '=' with
       | Some i -> (
           let v = String.sub a (i + 1) (String.length a - i - 1) in
           match String.sub a 0 i with
-          | "--engine" -> Engine.default_kind := Engine.kind_of_string v
-          | "--domains" -> domains := Some (int_of_string v)
-          | "--fusion" -> (
-              match v with
-              | "on" | "true" | "1" -> Engine.set_fusion true
-              | "off" | "false" | "0" -> Engine.set_fusion false
-              | s -> invalid_arg (Printf.sprintf "--fusion=%s (want on|off)" s))
-          | _ -> unknown := a :: !unknown)
+          | "--engine" -> (
+              match Engine.kind_of_string v with
+              | k -> Engine.default_kind := k
+              | exception Invalid_argument _ -> bad := a :: !bad)
+          | "--domains" -> (
+              match int_of_string_opt v with
+              | Some n -> domains := Some n
+              | None -> bad := a :: !bad)
+          | _ -> bad := a :: !bad)
       | None ->
           if not (List.mem a ("--full" :: "--no-bechamel" :: names)) then
-            unknown := a :: !unknown)
+            bad := a :: !bad)
     args;
-  if !unknown <> [] then begin
+  if !bad <> [] then begin
     Printf.eprintf
-      "bench: unknown argument(s): %s\n\
+      "bench: unknown argument(s) or bad flag value(s): %s\n\
        experiments: %s\n\
-       flags: --full --no-bechamel --engine=interp|compiled --domains=N \
-       --fusion=on|off\n"
-      (String.concat " " (List.rev !unknown))
+       flags: --full --no-bechamel --engine=interp|compiled --domains=N\n"
+      (String.concat " " (List.rev !bad))
       (String.concat " " names);
     exit 2
   end;
@@ -203,12 +203,11 @@ let () =
     else List.filter (fun (n, _) -> List.mem n selected) exps
   in
   Printf.printf
-    "SparseTIR reproduction benchmarks (%s scale, %s engine, fusion %s)\n\
+    "SparseTIR reproduction benchmarks (%s scale, %s engine)\n\
      Simulated GPUs: V100, RTX3070 (see DESIGN.md for the substitution \
      rationale)\n"
     (if full then "paper" else "quick")
-    (Engine.kind_to_string !Engine.default_kind)
-    (if Engine.fusion () then "on" else "off");
+    (Engine.kind_to_string !Engine.default_kind);
   List.iter
     (fun (name, f) ->
       let t0 = Unix.gettimeofday () in

@@ -65,18 +65,10 @@ let domains_arg =
              count)." in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
-let fusion_arg =
-  let doc = "Closure-fusion peephole in the compiled engine (fused \
-             accumulation stores, loop-invariant hoisting, strength-reduced \
-             linear offsets).  $(b,--fusion=false) compiles unfused \
-             closures." in
-  Arg.(value & opt bool true & info [ "fusion" ] ~docv:"BOOL" ~doc)
-
-let run graph feat op gpu system engine domains fusion =
+let run graph feat op gpu system engine domains =
   Engine.default_kind := engine;
   (* 0 = auto: Engine.set_num_domains owns the single clamp *)
   Engine.set_num_domains domains;
-  Engine.set_fusion fusion;
   let a = Workloads.Graphs.by_name graph in
   let spec = spec_of gpu in
   let x = Dense.random ~seed:11 a.Csr.cols feat in
@@ -130,11 +122,8 @@ let run graph feat op gpu system engine domains fusion =
       (Engine.num_domains ()) (Engine.par_runs art)
       (Engine.fallback_runs art)
       (Engine.reasons_to_string (Engine.fallback_reasons art));
-    Printf.printf "fusion: %s, fused stores=%d, hoisted=%d, \
-                   strength-reduced=%d\n"
-      (if Engine.fusion () then "on" else "off")
+    Printf.printf "fusion: fused stores=%d, hoisted=%d\n"
       (Engine.fused_sites art) (Engine.hoisted_sites art)
-      (Engine.linear_sites art)
   end
 
 (* serve: push the synthetic multi-tenant traffic mix through the serving
@@ -272,7 +261,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Profile one kernel on a simulated GPU")
     Term.(
       const run $ graph_arg $ feat_arg $ op_arg $ gpu_arg $ system_arg
-      $ engine_arg $ domains_arg $ fusion_arg)
+      $ engine_arg $ domains_arg)
 
 let serve_cmd =
   Cmd.v

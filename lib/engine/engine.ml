@@ -468,18 +468,6 @@ let total_reasons =
   Array.init (Array.length reason_labels) (fun _ -> Atomic.make 0)
 
 (* ------------------------------------------------------------------ *)
-(* Fusion peephole gate                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Read at compile time: fused and unfused artifacts are different closure
-   trees, so the knob cannot apply retroactively to memoized artifacts.  The
-   fuzzer differential-tests the two by compiling the same func once under
-   each setting (bypassing the memo via [compile]). *)
-let fusion_ref = ref true
-let set_fusion b = fusion_ref := b
-let fusion () = !fusion_ref
-
-(* ------------------------------------------------------------------ *)
 (* Compile-time context                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,12 +501,10 @@ type ctx = {
      [reason_index]; runtime fact failures land on "indirect") *)
   reasons : int array;
   (* per-artifact fusion-site counters (compile-time): stores fused into a
-     single load-accumulate closure, loop-invariant index expressions
-     hoisted into prologue slots, and linear indices strength-reduced into
-     running adds *)
+     single load-accumulate closure, and loop-invariant index expressions
+     hoisted into prologue slots *)
   mutable n_fused : int;
   mutable n_hoisted : int;
-  mutable n_linear : int;
 }
 
 let fresh_i ctx = let s = ctx.n_i in ctx.n_i <- s + 1; s
@@ -1020,97 +1006,49 @@ and compile_binop ctx scope op a b : cexpr =
 (* Statement compilation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Fused accumulation stores (fusion peephole, DESIGN.md §3e): a store of
-   the shape [C[i] <- C[i] + rhs] (either operand order) re-reads the cell
-   it is about to write.  Unfused, that costs two independent offset
-   computations (one relaxed for the load, one strict for the store);
-   fused, the strict offset is computed once and the cell updated in
-   place.  Whenever the strict offset admits the store, the relaxed load
-   offset would have resolved to the same flat position, so the fused form
-   is bit-identical.  Only shapes whose unfused arithmetic already runs
-   entirely in the target dtype's lattice are fused: float buffers always
-   (the load forces the float path), int buffers only when the rhs compiles
-   integral (otherwise the unfused add runs in floats and truncates), bool
-   buffers never.  The add keeps the IR's operand order. *)
+(* Fused accumulation stores (fusion peephole, DESIGN.md §3e): a float
+   store of the shape [C[i] <- C[i] + rhs] re-reads the cell it is about to
+   write.  Unfused, that costs two independent offset computations (one
+   relaxed for the load, one strict for the store); fused, the strict offset
+   is computed once and the cell updated in place.  Whenever the strict
+   offset admits the store, the relaxed load offset would have resolved to
+   the same flat position, so the fused form is bit-identical.  This is the
+   one accumulate shape the kernels compile; every other store (int or bool
+   buffers, the load on the right of the add) takes the plain path. *)
 let compile_store_fused (ctx : ctx) (scope : scope) (b : buffer)
     (idx : expr list) (value : expr) (name : string) (cell : cell)
     (slot : int) : (state -> unit) option =
-  if not !fusion_ref then None
-  else
-    let same_cell (b2 : buffer) idx2 = b2.buf_id = b.buf_id && idx2 = idx in
-    let acc =
-      match value with
-      | Binop (Add, Load (b2, idx2), rhs) when same_cell b2 idx2 ->
-          Some (true, rhs)
-      | Binop (Add, rhs, Load (b2, idx2)) when same_cell b2 idx2 ->
-          Some (false, rhs)
-      | _ -> None
-    in
-    match acc with
-    | None -> None
-    | Some (load_left, rhs) ->
-        if Dtype.is_float b.buf_dtype then begin
-          ctx.n_fused <- ctx.n_fused + 1;
-          let frhs =
-            match rhs with
-            | Binop (Mul, x, y) -> (
-                match (compile_expr ctx scope x, compile_expr ctx scope y) with
-                | CI _, CI _ ->
-                    (* int*int product converts to float once, after the
-                       int multiply: keep the generic compiled rhs *)
-                    None
-                | cx, cy -> Some (as_f cx, as_f cy))
-            | _ -> None
-          in
-          match (frhs, load_left) with
-          | Some (fx, fy), true ->
-              (* FMA shape: the multiply inlined into the store closure *)
-              Some
-                (fun st ->
-                  let t = st.bufs.(slot) in
-                  let i = cell_offset name cell st t in
-                  write_f t i (read_f t i +. (fx st *. fy st)))
-          | Some (fx, fy), false ->
-              Some
-                (fun st ->
-                  let t = st.bufs.(slot) in
-                  let i = cell_offset name cell st t in
-                  write_f t i ((fx st *. fy st) +. read_f t i))
-          | None, _ -> (
-              let fr = as_f (compile_expr ctx scope rhs) in
-              if load_left then
-                Some
-                  (fun st ->
-                    let t = st.bufs.(slot) in
-                    let i = cell_offset name cell st t in
-                    write_f t i (read_f t i +. fr st))
-              else
-                Some
-                  (fun st ->
-                    let t = st.bufs.(slot) in
-                    let i = cell_offset name cell st t in
-                    write_f t i (fr st +. read_f t i)))
-        end
-        else if b.buf_dtype = Dtype.Bool then None
-        else
-          (* int accumulate: only when the rhs is integral (the unfused add
-             would otherwise run in floats and truncate on store) *)
-          match compile_expr ctx scope rhs with
-          | CI r ->
-              ctx.n_fused <- ctx.n_fused + 1;
-              if load_left then
-                Some
-                  (fun st ->
-                    let t = st.bufs.(slot) in
-                    let i = cell_offset name cell st t in
-                    write_i t i (read_i t i + iget r st))
-              else
-                Some
-                  (fun st ->
-                    let t = st.bufs.(slot) in
-                    let i = cell_offset name cell st t in
-                    write_i t i (iget r st + read_i t i))
-          | _ -> None
+  match value with
+  | Binop (Add, Load (b2, idx2), rhs)
+    when Dtype.is_float b.buf_dtype && b2.buf_id = b.buf_id && idx2 = idx -> (
+      ctx.n_fused <- ctx.n_fused + 1;
+      let mul =
+        match rhs with
+        | Binop (Mul, x, y) -> (
+            match (compile_expr ctx scope x, compile_expr ctx scope y) with
+            | CI _, CI _ ->
+                (* int*int product converts to float once, after the int
+                   multiply: keep the generic compiled rhs *)
+                None
+            | cx, cy -> Some (as_f cx, as_f cy))
+        | _ -> None
+      in
+      match mul with
+      | Some (fx, fy) ->
+          (* FMA shape: the multiply inlined into the store closure *)
+          Some
+            (fun st ->
+              let t = st.bufs.(slot) in
+              let i = cell_offset name cell st t in
+              write_f t i (read_f t i +. (fx st *. fy st)))
+      | None ->
+          let fr = as_f (compile_expr ctx scope rhs) in
+          Some
+            (fun st ->
+              let t = st.bufs.(slot) in
+              let i = cell_offset name cell st t in
+              write_f t i (read_f t i +. fr st)))
+  | _ -> None
 
 let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
   match s with
@@ -1152,23 +1090,22 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
   | For { for_var; extent; kind; body } -> (
       let ext = as_i (compile_expr ctx scope extent) in
       let slot = fresh_i ctx in
-      (* Parallel eligibility is decided against the ORIGINAL body: the
-         peephole rewrites below replace exactly the linear index arithmetic
-         the disjointness proof needs as witnesses. *)
+      (* Parallel eligibility is decided against the ORIGINAL body: hoisting
+         below replaces index arithmetic the disjointness proof needs as
+         witnesses. *)
       let disjoint =
         match kind with
         | Thread_bind (Block_x | Block_y | Block_z) when not ctx.in_parallel ->
             Some (Analysis.loop_disjointness for_var body)
         | _ -> None
       in
-      (* Fusion peephole (DESIGN.md §3e): rewrite the body so per-iteration
-         index arithmetic becomes slot reads.  Loop-invariant expressions
-         are evaluated by a prologue once per loop entry (hoisting); indices
-         linear in the loop var become running adds re-seeded per chunk
-         (strength reduction), so they survive the chunked parallel path.
-         Outside a parallel region the rewrite never descends into nested
-         blockIdx-bound loops: their disjointness analysis (and their own
-         peephole, at their level) must see original IR. *)
+      (* Fusion peephole (DESIGN.md §3e): loop-invariant int index arithmetic
+         is evaluated by a prologue once per loop entry and read from a slot
+         in the body.  Candidates are all extracted from (and substituted
+         into) the original body in one pass, and compiled in the enclosing
+         scope.  Outside a parallel region the rewrite never descends into
+         nested blockIdx-bound loops: their disjointness analysis (and their
+         own peephole, at their level) must see original IR. *)
       let into_block_binds = ctx.in_parallel in
       let ok_in_scope (e : expr) =
         List.for_all
@@ -1180,111 +1117,42 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                (not (is_sparse_buffer b)) && Imap.mem b.buf_id scope.sc_bufs)
              (Analysis.buffers_of_expr e)
       in
-      let body, body_scope, prologue, lins =
-        if not !fusion_ref then (body, bind_var scope for_var (Si slot), [], [])
-        else begin
-          (* candidates are all extracted from (and substituted into) the
-             original body in one pass, and compiled in the enclosing scope,
-             so one rewrite cannot invalidate another's pattern *)
-          let lins =
-            Analysis.linear_indices_of_loop ~into_block_binds for_var body
-            |> List.filter (fun (e, _, _) -> ok_in_scope e)
-            |> List.filter_map (fun (e, c, rest) ->
-                   match compile_expr ctx scope (Analysis.simplify rest) with
-                   | CI frest ->
-                       ctx.n_linear <- ctx.n_linear + 1;
-                       Some
-                         ( e,
-                           c,
-                           frest,
-                           fresh_i ctx (* rest slot *),
-                           fresh_i ctx (* running slot *),
-                           Builder.var "lin$off" )
-                   | _ -> None)
-          in
-          let invs =
-            Analysis.invariant_of_loop ~into_block_binds for_var body
-            |> List.filter ok_in_scope
-            |> List.map (fun e ->
-                   let setter, sl =
-                     match compile_expr ctx scope e with
-                     | CI a ->
-                         let s = fresh_i ctx in
-                         ((fun st -> st.ints.(s) <- iget a st), Si s)
-                     | CF f ->
-                         let s = fresh_f ctx in
-                         ((fun st -> st.floats.(s) <- f st), Sf s)
-                     | CB f ->
-                         let s = fresh_b ctx in
-                         ((fun st -> st.bools.(s) <- f st), Sb s)
-                   in
+      let invs =
+        Analysis.invariant_of_loop ~into_block_binds for_var body
+        |> List.filter ok_in_scope
+        |> List.filter_map (fun e ->
+               match compile_expr ctx scope e with
+               | CI a ->
                    ctx.n_hoisted <- ctx.n_hoisted + 1;
-                   (e, Builder.var "inv$off", setter, sl))
-          in
-          let subs =
-            List.map (fun (e, _, _, _, _, lv) -> (e, Evar lv)) lins
-            @ List.map (fun (e, hv, _, _) -> (e, Evar hv)) invs
-          in
-          let body =
-            if subs = [] then body
-            else Analysis.replace_exprs ~into_block_binds subs body
-          in
-          let sc =
-            List.fold_left
-              (fun sc (_, _, _, _, run_slot, lv) ->
-                bind_var sc lv (Si run_slot))
-              scope lins
-          in
-          let sc =
-            List.fold_left (fun sc (_, hv, _, sl) -> bind_var sc hv sl) sc invs
-          in
-          ( body,
-            bind_var sc for_var (Si slot),
-            List.map
-              (fun (_, _, frest, rest_slot, _, _) ->
-                fun st -> st.ints.(rest_slot) <- iget frest st)
-              lins
-            @ List.map (fun (_, _, setter, _) -> setter) invs,
-            List.map
-              (fun (_, c, _, rest_slot, run_slot, _) -> (c, rest_slot, run_slot))
-              lins )
-        end
+                   Some (e, Builder.var "inv$off", fresh_i ctx, a)
+               | CF _ | CB _ -> None)
       in
-      let prologue = Array.of_list prologue in
-      let nprol = Array.length prologue in
+      let subs = List.map (fun (e, hv, _, _) -> (e, Evar hv)) invs in
+      let body =
+        if subs = [] then body
+        else Analysis.replace_exprs ~into_block_binds subs body
+      in
+      let body_scope =
+        List.fold_left
+          (fun sc (_, hv, s, _) -> bind_var sc hv (Si s))
+          (bind_var scope for_var (Si slot))
+          invs
+      in
+      let hoisted = Array.of_list (List.map (fun (_, _, s, a) -> (s, a)) invs) in
       let run_prologue st =
-        for k = 0 to nprol - 1 do
-          prologue.(k) st
+        for k = 0 to Array.length hoisted - 1 do
+          let s, a = hoisted.(k) in
+          st.ints.(s) <- iget a st
         done
       in
-      let lin_c = Array.of_list (List.map (fun (c, _, _) -> c) lins) in
-      let lin_rest = Array.of_list (List.map (fun (_, r, _) -> r) lins) in
-      let lin_run = Array.of_list (List.map (fun (_, _, r) -> r) lins) in
-      let nlin = Array.length lin_c in
-      (* chunk runner: re-seeds every running offset at the chunk start, so
-         the same closure serves the serial loop (one chunk [0,n)) and the
-         scheduler's parallel chunks *)
-      let iterate fbody =
-        if nlin = 0 then
-          fun st lo hi ->
-            let a = st.ints in
-            for i = lo to hi - 1 do
-              a.(slot) <- i;
-              fbody st
-            done
-        else
-          fun st lo hi ->
-            let a = st.ints in
-            for k = 0 to nlin - 1 do
-              a.(lin_run.(k)) <- (lin_c.(k) * lo) + a.(lin_rest.(k))
-            done;
-            for i = lo to hi - 1 do
-              a.(slot) <- i;
-              fbody st;
-              for k = 0 to nlin - 1 do
-                a.(lin_run.(k)) <- a.(lin_run.(k)) + lin_c.(k)
-              done
-            done
+      (* runs iterations [lo, hi): the whole loop when serial, one
+         scheduler chunk when parallel *)
+      let iterate fbody st lo hi =
+        let a = st.ints in
+        for i = lo to hi - 1 do
+          a.(slot) <- i;
+          fbody st
+        done
       in
       match disjoint with
       | Some (Analysis.Par ws) ->
@@ -1314,7 +1182,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
           ctx.in_parallel <- true;
           let fbody = compile_stmt ctx body_scope body in
           ctx.in_parallel <- false;
-          let iter = iterate fbody in
           let par = ctx.par_runs in
           let fellback = ctx.fallback_runs in
           let reasons = ctx.reasons in
@@ -1323,7 +1190,7 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
             run_prologue st;
             let lease = !(Domain.DLS.get current_lease) in
             let d = min (loop_budget lease) n in
-            if d <= 1 then iter st 0 n
+            if d <= 1 then iterate fbody st 0 n
             else begin
               (* runtime facts for every gather map: injective maps scatter
                  to all-distinct rows (chunk anywhere); non-decreasing maps
@@ -1343,7 +1210,7 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                 Atomic.incr total_fallback_runs;
                 reasons.(0) <- reasons.(0) + 1;
                 Atomic.incr total_reasons.(0);
-                iter st 0 n
+                iterate fbody st 0 n
               end
               else begin
                 incr par;
@@ -1367,7 +1234,8 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
                       (Array.length b - 1, 1, Array.get b)
                 in
                 run_stealing ~lease ~d ~units ~grain_u
-                  ~run_chunk:(fun w k0 k1 -> iter states.(w) (cut k0) (cut k1))
+                  ~run_chunk:(fun w k0 k1 ->
+                    iterate fbody states.(w) (cut k0) (cut k1))
               end
             end
       | Some (Analysis.Serial reason) ->
@@ -1376,7 +1244,6 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
              only when the budget would have run it parallel: with one
              domain the Par path above runs serially uncounted too *)
           let fbody = compile_stmt ctx body_scope body in
-          let iter = iterate fbody in
           let fellback = ctx.fallback_runs in
           let reasons = ctx.reasons in
           let ri = reason_index reason in
@@ -1389,17 +1256,16 @@ let rec compile_stmt (ctx : ctx) (scope : scope) (s : stmt) : state -> unit =
               Atomic.incr total_reasons.(ri)
             end;
             run_prologue st;
-            iter st 0 n
+            iterate fbody st 0 n
       | None ->
           (* every other loop kind (and nested thread bindings) executes
              serially, as in the interpreter; the body is compiled once and
              invoked per iteration *)
           let fbody = compile_stmt ctx body_scope body in
-          let iter = iterate fbody in
           fun st ->
             let n = iget ext st in
             run_prologue st;
-            iter st 0 n)
+            iterate fbody st 0 n)
   | If (c, t, f) -> (
       let fc = as_b (compile_expr ctx scope c) in
       let ft = compile_stmt ctx scope t in
@@ -1566,7 +1432,6 @@ type compiled = {
   (* fusion peephole sites, fixed at compile time *)
   c_fused_sites : int; (* stores fused into load-accumulate closures *)
   c_hoisted_sites : int; (* loop-invariant index exprs moved to prologues *)
-  c_linear_sites : int; (* linear indices strength-reduced to running adds *)
 }
 
 let par_runs (c : compiled) = !(c.c_par_runs)
@@ -1598,7 +1463,6 @@ let reasons_to_string (rs : (string * int) list) : string =
         (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) nz)
 let fused_sites (c : compiled) = c.c_fused_sites
 let hoisted_sites (c : compiled) = c.c_hoisted_sites
-let linear_sites (c : compiled) = c.c_linear_sites
 
 let compile_count = ref 0
 
@@ -1612,11 +1476,12 @@ let compile_count = ref 0
 let counter_registry : (int ref * int ref * int array) list ref = ref []
 
 (* Process-wide fusion-site totals across every [compile] since [reset]
-   (Pipeline.report surfaces them next to the pass table). *)
+   (Pipeline.report surfaces them next to the pass table).  The third slot
+   of [fusion_totals] is always 0; it stays only for perfbench's
+   linear-sites row. *)
 let total_fused = ref 0
 let total_hoisted = ref 0
-let total_linear = ref 0
-let fusion_totals () = (!total_fused, !total_hoisted, !total_linear)
+let fusion_totals () = (!total_fused, !total_hoisted, 0)
 
 let compile (fn : func) : compiled =
   incr compile_count;
@@ -1632,7 +1497,6 @@ let compile (fn : func) : compiled =
       reasons = Array.make (Array.length reason_labels) 0;
       n_fused = 0;
       n_hoisted = 0;
-      n_linear = 0;
     }
   in
   let scope =
@@ -1663,7 +1527,6 @@ let compile (fn : func) : compiled =
   in
   total_fused := !total_fused + ctx.n_fused;
   total_hoisted := !total_hoisted + ctx.n_hoisted;
-  total_linear := !total_linear + ctx.n_linear;
   counter_registry :=
     (ctx.par_runs, ctx.fallback_runs, ctx.reasons) :: !counter_registry;
   {
@@ -1673,7 +1536,6 @@ let compile (fn : func) : compiled =
     c_reasons = ctx.reasons;
     c_fused_sites = ctx.n_fused;
     c_hoisted_sites = ctx.n_hoisted;
-    c_linear_sites = ctx.n_linear;
   }
 
 let run (c : compiled) (args : Tensor.t list) : unit = c.c_run args
@@ -1733,7 +1595,6 @@ let reset () =
   compile_count := 0;
   total_fused := 0;
   total_hoisted := 0;
-  total_linear := 0;
   Atomic.set total_par_runs 0;
   Atomic.set total_fallback_runs 0;
   Atomic.set total_stolen_chunks 0;

@@ -50,25 +50,13 @@ val reasons_to_string : (string * int) list -> string
 
 (** {1 Fusion peephole}
 
-    With fusion enabled (the default), codegen applies three rewrites, all
-    bit-identical to the unfused closures (see DESIGN.md §3e):
-    accumulating stores [C[i] <- C[i] + a *. b] fuse into a single
-    FMA-style closure computing one strict offset; loop-invariant buffer
-    index arithmetic ({!Tir.Analysis.invariant_of_loop}) is pre-evaluated
-    into slots once per loop entry; and indices linear in the loop var are
-    strength-reduced from a per-iteration multiply to a running add,
-    re-seeded per chunk so the rewrite composes with the domains-parallel
-    path (hoisted and running slots live in the per-domain state
-    replicas). *)
-
-val set_fusion : bool -> unit
-(** Enable/disable the peephole for subsequent {!compile}s (default
-    enabled).  Read at compile time, not run time: artifacts already
-    memoized keep the setting they were compiled under — differential
-    tests compile the same func once per setting via {!compile}. *)
-
-val fusion : unit -> bool
-(** Current fusion setting. *)
+    Codegen always applies two rewrites, both bit-identical to the plain
+    closures (see DESIGN.md §3e): a float accumulating store
+    [C[i] <- C[i] + rhs] fuses into a single closure computing one strict
+    offset, inlining [rhs] FMA-style when it is a multiply with a float
+    factor; and loop-invariant int index arithmetic
+    ({!Tir.Analysis.invariant_of_loop}) is pre-evaluated into slots once per
+    loop entry.  Every other store and invariant stays on the plain path. *)
 
 val fused_sites : compiled -> int
 (** Stores fused into single load-accumulate closures, per artifact. *)
@@ -76,13 +64,10 @@ val fused_sites : compiled -> int
 val hoisted_sites : compiled -> int
 (** Loop-invariant index expressions hoisted into loop prologues. *)
 
-val linear_sites : compiled -> int
-(** Indices strength-reduced from per-iteration multiplies to running
-    adds. *)
-
 val fusion_totals : unit -> int * int * int
-(** Process-wide [(fused, hoisted, linear)] site totals across every
-    compile since the last {!reset}. *)
+(** Process-wide [(fused, hoisted, 0)] site totals across every compile
+    since the last {!reset}.  The third slot is always [0]: it stays only
+    for perfbench's linear-sites row, which reads it. *)
 
 val parallel_totals : unit -> int * int * int
 (** Process-wide [(par_runs, fallback_runs, 0)] across every artifact since

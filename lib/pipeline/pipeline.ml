@@ -279,12 +279,11 @@ let report () : string =
     (List.length runs - List.length compiles)
     (cache_hits ()) (cache_misses ()) (cache_evictions ())
     (Cache.size shared_cache) (Cache.capacity shared_cache);
-  (let fused, hoisted, linear = Engine.fusion_totals () in
+  (let fused, hoisted, _ = Engine.fusion_totals () in
    Printf.bprintf b
-     "engine fusion (%s): %d fused stores, %d hoisted index exprs, %d \
-      strength-reduced offsets across %d compiles\n"
-     (if Engine.fusion () then "on" else "off")
-     fused hoisted linear (Engine.compiles ()));
+     "engine fusion: %d fused stores, %d hoisted index exprs across %d \
+      compiles\n"
+     fused hoisted (Engine.compiles ()));
   (let par, fb, _ = Engine.parallel_totals () in
    if par + fb > 0 then
      Printf.bprintf b "engine parallel: %d parallel runs, %d serial fallbacks \

@@ -441,27 +441,6 @@ let invariant_of_loop ?(into_block_binds = true) (x : var) (body : stmt) :
   iter_index_positions ~into_block_binds collect body;
   List.rev !out
 
-let linear_indices_of_loop ?(into_block_binds = true) (x : var) (body : stmt)
-    : (expr * int * expr) list =
-  let inner = Int_set.add x.vid (inner_bound_vids body) in
-  let mutated = mutated_buf_ids body in
-  let out = ref [] in
-  let on_index (e : expr) : unit =
-    match e with
-    | Evar _ -> ()
-    | _ -> (
-        match linear_in x e with
-        | Some (c, rest)
-          when c <> 0
-               && hoist_safe inner mutated rest
-               && hoist_safe (Int_set.remove x.vid inner) mutated e
-               && not (List.exists (fun (e', _, _) -> e' = e) !out) ->
-            out := (e, c, rest) :: !out
-        | _ -> ())
-  in
-  iter_index_positions ~into_block_binds on_index body;
-  List.rev !out
-
 let replace_exprs ?(into_block_binds = true) (subs : (expr * expr) list)
     (s : stmt) : stmt =
   let subs =

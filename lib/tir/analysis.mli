@@ -59,11 +59,10 @@ val linear_in : Ir.var -> Ir.expr -> (int * Ir.expr) option
 
     Support for the compiled engine's fusion peephole (DESIGN.md §3e): the
     engine pre-evaluates loop-invariant buffer index arithmetic into slots
-    once per entry of the enclosing loop, and strength-reduces indices that
-    are linear in the loop variable into running adds.  With
-    [into_block_binds = false] (the engine's setting outside parallel
-    regions) nested blockIdx-bound loops are left untouched, so the
-    write-disjointness analysis still sees their original bodies. *)
+    once per entry of the enclosing loop.  With [into_block_binds = false]
+    (the engine's setting outside parallel regions) nested blockIdx-bound
+    loops are left untouched, so the write-disjointness analysis still sees
+    their original bodies. *)
 
 val invariant_of_loop :
   ?into_block_binds:bool -> Ir.var -> Ir.stmt -> Ir.expr list
@@ -75,13 +74,6 @@ val invariant_of_loop :
     unconditionally (division only by nonzero constants, no [Bsearch]).
     Immediates and lone variables are excluded (hoisting them saves
     nothing).  Deduplicated, in first-occurrence order. *)
-
-val linear_indices_of_loop :
-  ?into_block_binds:bool -> Ir.var -> Ir.stmt -> (Ir.expr * int * Ir.expr) list
-(** Buffer index expressions in [body] of the form [c * x + rest] with
-    [c <> 0] and [rest] invariant per {!invariant_of_loop}'s rules; each
-    result is [(whole expression, c, rest)].  The engine replaces the
-    per-iteration multiply with a running add seeded from [rest]. *)
 
 val replace_exprs :
   ?into_block_binds:bool -> (Ir.expr * Ir.expr) list -> Ir.stmt -> Ir.stmt

@@ -264,41 +264,95 @@ let test_f16_cast_rounding () =
   Alcotest.(check (float 0.0))
     "compiled rounds to nearest even" expect (run Engine.Compiled)
 
+(* Run [fn] on fresh arguments under the interpreter and under a fresh
+   compiled artifact.  [args ()] returns the arguments and the output to
+   read; each leg yields the output's bit patterns, or [None] when the run
+   raised [Invalid_argument]. *)
+let legs (fn : Tir.Ir.func)
+    (args : unit -> Tir.Tensor.t list * Tir.Tensor.t) :
+    (string * int64 array option) list =
+  let run exec =
+    let a, out = args () in
+    match exec a with
+    | () ->
+        Some (Array.map Int64.bits_of_float (Tir.Tensor.to_float_array out))
+    | exception Invalid_argument _ -> None
+  in
+  [ ("interp", run (Tir.Eval.run_func fn));
+    ("compiled", run (Engine.run (Engine.compile fn))) ]
+
+(* Every leg bit-identical to the interpreter; returns the interpreter's
+   output as floats (None when it raised). *)
+let check_legs name fn args : float array option =
+  match legs fn args with
+  | (_, interp) :: rest ->
+      List.iter
+        (fun (leg, out) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s = interp bit-for-bit" name leg)
+            true (out = interp))
+        rest;
+      Option.map (Array.map Int64.float_of_bits) interp
+  | [] -> assert false
+
+let bits (xs : float array) = Array.map Int64.bits_of_float xs
+
 (* ---------------- fusion peephole ---------------- *)
 
-(* Fused and unfused artifacts of the same func must agree bit-for-bit, and
-   the SpMM shape must actually trigger the peephole (nonzero site
-   counters).  Compiles via [Engine.compile] directly: the fusion knob is
-   compile-time, so the memoized artifact must be bypassed. *)
-let test_fusion_differential () =
+(* The peephole's two rewrites keep outputs bit-identical to the
+   interpreter, and the SpMM shape triggers both (nonzero site counters).
+   Of four hand-built accumulates only the two float stores with the load
+   left of the add fuse (one inlines its float multiply, one keeps its
+   int*int product generic); the load-on-the-right and int accumulates take
+   the plain store. *)
+let test_fusion_matches_interp () =
   let a = graph () in
   let feat = 8 in
   let x = Dense.random ~seed:7 a.Csr.cols feat in
-  let run ~fusion =
-    Engine.set_fusion fusion;
-    Fun.protect ~finally:(fun () -> Engine.set_fusion true) @@ fun () ->
+  let run engine =
     let c = Kernels.Spmm.dgsparse a x ~feat in
-    let fn = c.Kernels.Spmm.fn in
-    let art = Engine.compile fn in
-    Engine.run art
-      (List.map
-         (fun (b : Tir.Ir.buffer) ->
-           List.assoc b.Tir.Ir.buf_name c.Kernels.Spmm.bindings)
-         fn.Tir.Ir.fn_params);
-    (art, Tir.Tensor.to_float_array c.Kernels.Spmm.out)
+    Gpusim.execute ~engine c.Kernels.Spmm.fn c.Kernels.Spmm.bindings;
+    (c.Kernels.Spmm.fn, bits (Tir.Tensor.to_float_array c.Kernels.Spmm.out))
   in
-  let fused_art, fused = run ~fusion:true in
-  let unfused_art, unfused = run ~fusion:false in
-  Alcotest.(check bool) "fused = unfused bit-for-bit" true (fused = unfused);
+  let _, interp = run Engine.Interp in
+  let fn, compiled = run Engine.Compiled in
+  Alcotest.(check bool) "spmm = interp bit-for-bit" true (interp = compiled);
+  let art = Engine.artifact fn in
   Alcotest.(check bool)
-    "spmm triggers the peephole" true
-    (Engine.fused_sites fused_art > 0
-    && Engine.hoisted_sites fused_art + Engine.linear_sites fused_art > 0);
+    "spmm fuses and hoists" true
+    (Engine.fused_sites art > 0 && Engine.hoisted_sites art > 0);
+  let open Tir in
+  let open Builder in
+  let f_buf = buffer ~dtype:Dtype.F32 "F" [ int 2 ] in
+  let i_buf = buffer ~dtype:Dtype.I32 "I" [ int 2 ] in
+  let o_buf = buffer ~dtype:Dtype.F32 "O" [ int 3 ] in
+  let io_buf = buffer ~dtype:Dtype.I32 "IO" [ int 1 ] in
+  let f k = load f_buf [ int k ] and i k = load i_buf [ int k ] in
+  let o k = load o_buf [ int k ] in
+  let fn =
+    func "eng_accumulates" [ f_buf; i_buf; o_buf; io_buf ]
+      (for_ "r" (int 3) (fun _ ->
+           seq
+             [ store o_buf [ int 0 ] (o 0 +: (f 0 *: f 1));
+               store o_buf [ int 1 ] (o 1 +: (i 0 *: i 1));
+               store o_buf [ int 2 ] (f 0 +: o 2);
+               store io_buf [ int 0 ] (load io_buf [ int 0 ] +: i 0) ]))
+  in
+  let args pick () =
+    let o = Tensor.create Dtype.F32 [ 3 ] and io = Tensor.create Dtype.I32 [ 1 ] in
+    ( [ Tensor.of_float_array [ 2 ] [| 0.1; 0.3 |];
+        Tensor.of_int_array [ 2 ] [| 3; -5 |];
+        o; io ],
+      pick o io )
+  in
+  List.iter
+    (fun (label, pick) ->
+      if check_legs label fn (args pick) = None then
+        Alcotest.fail (label ^ " raised"))
+    [ ("float accumulates", fun o _ -> o); ("int accumulate", fun _ io -> io) ];
   Alcotest.(check int)
-    "unfused artifact reports no sites" 0
-    (Engine.fused_sites unfused_art
-    + Engine.hoisted_sites unfused_art
-    + Engine.linear_sites unfused_art)
+    "the two float load-left stores fuse" 2
+    (Engine.fused_sites (Engine.compile fn))
 
 (* An index expression that READS a buffer the loop body WRITES must not be
    hoisted: its value changes between iterations.  The cursor pattern below
@@ -786,47 +840,6 @@ let test_concurrent_drivers () =
 
 (* ---------------- specialized buffer access ---------------- *)
 
-(* Run [fn] on fresh arguments under the interpreter and under artifacts
-   compiled with fusion on and off (via [Engine.compile], bypassing the
-   memo).  [args ()] returns the arguments and the output to read; each leg
-   yields the output's bit patterns, or [None] when the run raised
-   [Invalid_argument]. *)
-let legs (fn : Tir.Ir.func)
-    (args : unit -> Tir.Tensor.t list * Tir.Tensor.t) :
-    (string * int64 array option) list =
-  let run exec =
-    let a, out = args () in
-    match exec a with
-    | () ->
-        Some (Array.map Int64.bits_of_float (Tir.Tensor.to_float_array out))
-    | exception Invalid_argument _ -> None
-  in
-  let compiled fusion =
-    Engine.set_fusion fusion;
-    Fun.protect ~finally:(fun () -> Engine.set_fusion true) (fun () ->
-        let art = Engine.compile fn in
-        run (Engine.run art))
-  in
-  [ ("interp", run (Tir.Eval.run_func fn));
-    ("fused", compiled true);
-    ("unfused", compiled false) ]
-
-(* Every leg bit-identical to the interpreter; returns the interpreter's
-   output as floats (None when it raised). *)
-let check_legs name fn args : float array option =
-  match legs fn args with
-  | (_, interp) :: rest ->
-      List.iter
-        (fun (leg, out) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %s = interp bit-for-bit" name leg)
-            true (out = interp))
-        rest;
-      Option.map (Array.map Int64.float_of_bits) interp
-  | [] -> assert false
-
-let bits (xs : float array) = Array.map Int64.bits_of_float xs
-
 (* Out-of-range and negative indices on 1-D and 2-D loads read 0, through
    constant, slot and computed index leaves; a single index into 2-D
    storage is a flat offset checked against numel. *)
@@ -1136,8 +1149,8 @@ let () =
             test_float_reduction_init;
           Alcotest.test_case "f16 cast rounding" `Quick test_f16_cast_rounding ] );
       ( "fusion",
-        [ Alcotest.test_case "fused = unfused on spmm" `Quick
-            test_fusion_differential;
+        [ Alcotest.test_case "peephole = interp" `Quick
+            test_fusion_matches_interp;
           Alcotest.test_case "no stale hoist of written buffer" `Quick
             test_fusion_no_stale_hoist ] );
       ( "codegen_cache",

@@ -70,11 +70,9 @@ let max_err (reference : float array) (got : float array) : float =
 
 (* Run [fn] under both engines against fresh bindings and check (a) the two
    engines agree bit-for-bit and (b) both match the host reference.  The
-   compiled engine runs three times: serially, with a 4-domain budget (so
-   any blockIdx-bound loop the analysis proves disjoint actually takes the
-   parallel path), and with the fusion peephole disabled — that last leg
-   must compile through [Engine.compile] directly, because the knob is
-   compile-time and the memoized artifact was built fused. *)
+   compiled engine runs twice: serially and with a 4-domain budget (so any
+   blockIdx-bound loop the analysis proves disjoint actually takes the
+   parallel path). *)
 let differential (fn : Ir.func) ~(bind : unit -> Gpusim.bindings * Tensor.t)
     ~(reference : float array) : bool =
   let run ?num_domains engine =
@@ -85,25 +83,8 @@ let differential (fn : Ir.func) ~(bind : unit -> Gpusim.bindings * Tensor.t)
   let interp = run Engine.Interp in
   let compiled = run ~num_domains:1 Engine.Compiled in
   let parallel = run ~num_domains:4 Engine.Compiled in
-  let unfused =
-    let saved = Engine.num_domains () in
-    Engine.set_fusion false;
-    Engine.set_num_domains 1;
-    Fun.protect ~finally:(fun () ->
-        Engine.set_fusion true;
-        Engine.set_num_domains saved)
-    @@ fun () ->
-    let bindings, out = bind () in
-    let art = Engine.compile fn in
-    Engine.run art
-      (List.map
-         (fun (b : Ir.buffer) -> List.assoc b.Ir.buf_name bindings)
-         fn.Ir.fn_params);
-    Tensor.to_float_array out
-  in
   interp = compiled
   && compiled = parallel
-  && compiled = unfused
   && max_err reference interp < 1e-5
   && max_err reference compiled < 1e-5
 
